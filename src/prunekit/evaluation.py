@@ -2,7 +2,7 @@
 
 Decoding is greedy and constrained to each task's answer-token support, so a
 model carrying no visual information scores chance level (1/32 on lookup,
-1/13 on count) rather than 1/vocab. AVG-% follows the relative-performance
+1/9 on count) rather than 1/vocab. AVG-% follows the relative-performance
 convention: 100 times the mean of per-task accuracy ratios against a named
 reference model, whose own AVG-% is therefore exactly 100.
 """
@@ -47,13 +47,19 @@ class EvalReport:
                    label=d.get("label", "model"))
 
 
-def predict_answer(model, item):
-    """Greedy answer token, argmax restricted to the item's answer support."""
+def predict_answer(model, items):
+    """Greedy answer tokens, one per item, each an argmax restricted to the
+    item's answer support. Items are one Triplet or a list sharing one token
+    layout; the result is a list either way."""
     with T.no_grad():
-        trace = M.forward(model, item, capture=None)
-    row = trace.logits.data[trace.layout.loss_rows[0]]
-    support = list(answer_support(item.task))
-    return support[int(np.argmax(row[support]))]
+        trace = M.forward(model, items, capture=None)
+    lo = trace.layout.loss_rows[0]
+    rows = trace.logits.data.reshape(trace.n_items, trace.layout.total, -1)[:, lo]
+    answers = []
+    for item, row in zip(M.as_items(items), rows):
+        support = list(answer_support(item.task))
+        answers.append(support[int(np.argmax(row[support]))])
+    return answers
 
 
 def evaluate(model, eval_pool, reference_report=None, label="model"):
@@ -61,11 +67,13 @@ def evaluate(model, eval_pool, reference_report=None, label="model"):
     if not eval_pool:
         raise ParameterError("evaluate: empty eval pool")
     hits, totals = {}, {}
-    for item in eval_pool:
-        task = item.task
-        totals[task] = totals.get(task, 0) + 1
-        if predict_answer(model, item) == item.x_r[0]:
-            hits[task] = hits.get(task, 0) + 1
+    for idx in M.layout_buckets(eval_pool):
+        bucket = [eval_pool[i] for i in idx]
+        for item, answer in zip(bucket, predict_answer(model, bucket)):
+            task = item.task
+            totals[task] = totals.get(task, 0) + 1
+            if answer == item.x_r[0]:
+                hits[task] = hits.get(task, 0) + 1
     per_task = {task: hits.get(task, 0) / totals[task] for task in totals}
     avg = float(np.mean(list(per_task.values())))
     report = EvalReport(per_task=per_task, counts=totals, avg=avg, label=label)

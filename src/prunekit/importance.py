@@ -4,7 +4,10 @@ Layer scores are Block Influence: one minus the mean token-wise cosine
 similarity between a block's input and output hidden states. Width scores are
 first-order Taylor group importances: for each dependency-closed unit
 (attention head or MLP channel), the calibration-mean of the summed
-|gradient x weight| over the unit's weight slices.
+|gradient x weight| over the unit's weight slices. Block Influence runs the
+calibration set in layout buckets; Taylor scoring runs one item at a time,
+because the mean of per-item absolute values is not the absolute value of a
+batch gradient.
 """
 
 from __future__ import annotations
@@ -107,8 +110,8 @@ def block_influence(model, calib):
     n_layers = model.n_layers
     per_layer_pairs = [[] for _ in range(n_layers)]
     with T.no_grad():
-        for item in calib:
-            trace = M.forward(model, item, capture="all")
+        for idx in M.layout_buckets(calib):
+            trace = M.forward(model, [calib[i] for i in idx], capture="all")
             states = [h.data.astype(np.float64) for h in trace.hidden_states]
             for i in range(n_layers):
                 per_layer_pairs[i].append((states[i], states[i + 1]))
@@ -156,16 +159,32 @@ def build_dependency_groups(model):
     return groups
 
 
+def _slice_plan(groups):
+    """(param, axis) -> (starts, stops, group indices) over every member slice."""
+    plan = {}
+    for gi, group in enumerate(groups):
+        for sl in group.slices:
+            starts, stops, owners = plan.setdefault((sl.param, sl.axis), ([], [], []))
+            starts.append(sl.start)
+            stops.append(sl.stop)
+            owners.append(gi)
+    return {key: tuple(np.asarray(v) for v in lists) for key, lists in plan.items()}
+
+
 def taylor_group_importance(model, groups, calib):
     """Fill group importances: mean over calibration triplets of the summed
     |grad x weight| over each group's member slices.
 
-    One backward pass per triplet; per-sample scores are accumulated in list
-    order and reduced at the end, so the result is order-deterministic.
+    One backward pass per triplet, since the score is a mean of per-item
+    absolute values. Per item, |grad x weight| is formed once per matrix and
+    summed across the slice axis; a group's share is then a difference of
+    prefix sums along that axis. Per-item scores accumulate in list order, so
+    the result is order-deterministic.
     """
     if not calib:
         raise ParameterError("taylor importance: empty calibration set")
     by_name = dict(model.named_parameters())
+    plan = _slice_plan(groups)
     acc = np.zeros(len(groups), dtype=np.float64)
     for item in calib:
         for _, p in model.named_parameters():
@@ -176,14 +195,15 @@ def taylor_group_importance(model, groups, calib):
         for name, p in model.named_parameters():
             if p.grad is not None and not np.isfinite(p.grad).all():
                 raise NonFiniteGradientError(f"non-finite gradient in {name}")
-        for gi, group in enumerate(groups):
-            s = 0.0
-            for sl in group.slices:
-                p = by_name[sl.param]
-                if p.grad is None:
-                    continue
-                s += float(np.abs(sl.take(p.grad) * sl.take(p.data)).sum())
-            acc[gi] += s
+        for (name, axis), (starts, stops, owners) in plan.items():
+            p = by_name[name]
+            if p.grad is None:
+                continue
+            other = tuple(a for a in range(p.data.ndim) if a != axis)
+            per_index = np.abs(p.grad * p.data).sum(axis=other, dtype=np.float64)
+            prefix = np.concatenate(([0.0], np.cumsum(per_index)))
+            acc += np.bincount(owners, weights=prefix[stops] - prefix[starts],
+                               minlength=len(groups))
     for _, p in model.named_parameters():
         p.grad = None
     for gi, group in enumerate(groups):

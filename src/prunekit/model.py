@@ -4,12 +4,15 @@ The decoder is a stack of pre-norm transformer blocks (RMS norm, rotary q/k,
 causal attention, GELU MLP, no biases) over a token stream laid out as
 [visual tokens | prompt tokens | response tokens]. Per-block hidden states are
 traced so importance scoring and hidden-state distillation can read them.
+
+A forward runs a batch of items that share one token layout, stacked as
+(B*T, width) rows; `layout_buckets` splits any item list into such batches.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,14 +84,50 @@ class TokenLayout:
         return start, start + self.n_response
 
 
+# Largest number of items one batched forward stacks. Bigger batches save
+# little dispatch and hold more activations at once.
+BUCKET_SIZE = 32
+
+
 @dataclass
 class ForwardTrace:
     """hidden_states[0] is the stream entering block 1; hidden_states[i] the
-    output of block i (1-based); final_normed is the post-norm head input."""
+    output of block i (1-based); final_normed is the post-norm head input.
+
+    Every tensor stacks n_items sequences of layout.total rows each."""
     hidden_states: list
     final_normed: Tensor
     logits: Tensor
     layout: TokenLayout
+    n_items: int = 1
+
+
+def response_rows(trace, x):
+    """The rows of a stacked (n_items*T, width) tensor that predict response
+    tokens, as (n_items*n_response, width) in item order."""
+    lo, hi = trace.layout.loss_rows
+    b = trace.n_items
+    per_item = T.reshape(x, (b, x.shape[0] // b, x.shape[1]))
+    return T.reshape(T.slice_rows(per_item, lo, hi, axis=1), (b * (hi - lo), x.shape[1]))
+
+
+def as_items(items):
+    """A bare Triplet as a one-item list; any other sequence of triplets as a list."""
+    return [items] if isinstance(items, Triplet) else list(items)
+
+
+def _layout_of(triplet, config):
+    return TokenLayout(config.n_visual_tokens, len(triplet.x_p), len(triplet.x_r))
+
+
+def layout_buckets(items):
+    """Indices of `items` grouped by prompt and response length, in order of
+    first appearance, each group cut into runs of at most BUCKET_SIZE."""
+    groups = {}
+    for i, item in enumerate(items):
+        groups.setdefault((len(item.x_p), len(item.x_r)), []).append(i)
+    return [idx[lo:lo + BUCKET_SIZE] for idx in groups.values()
+            for lo in range(0, len(idx), BUCKET_SIZE)]
 
 
 class DecoderLayer:
@@ -237,49 +276,62 @@ def _effective_weight(model, name, param):
     return T.add(param, T.scale(T.matmul(adapter.b, adapter.a), adapter.scaling))
 
 
-def _block_forward(model, i, layer, h):
+def _block_forward(model, i, layer, h, seq_len):
     cfg = model.config
     x = T.rms_norm(h, layer.attn_gain, cfg.rms_eps)
     wq = _effective_weight(model, f"layers.{i}.attn.wq", layer.wq)
     wv = _effective_weight(model, f"layers.{i}.attn.wv", layer.wv)
-    q = T.rope(T.linear(x, wq), layer.n_heads)
-    k = T.rope(T.linear(x, layer.wk), layer.n_heads)
+    q = T.rope(T.linear(x, wq), layer.n_heads, seq_len)
+    k = T.rope(T.linear(x, layer.wk), layer.n_heads, seq_len)
     v = T.linear(x, wv)
-    attn = T.linear(T.causal_attention(q, k, v, layer.n_heads), layer.wo)
+    attn = T.linear(T.causal_attention(q, k, v, layer.n_heads, seq_len), layer.wo)
     h = T.add(h, attn)
     m = T.rms_norm(h, layer.mlp_gain, cfg.rms_eps)
     m = T.linear(T.gelu(T.linear(m, layer.w_up)), layer.w_down)
     return T.add(h, m)
 
 
-def forward(model, triplet, capture="all"):
+def forward(model, items, capture="all"):
     """Teacher-forced forward over [visual | prompt | response]; returns a ForwardTrace.
 
+    items: one Triplet, or a list of triplets sharing one token layout, which
+    run stacked as (B*T, width) rows. A single Triplet is B=1.
     capture: "all" keeps every per-block hidden state; a list of indices keeps
     hidden_states[i] only for those i (0 = block-1 input, i = block-i output);
     None keeps none.
     """
     cfg = model.config
-    n_prompt = len(triplet.x_p)
-    n_resp = len(triplet.x_r)
-    layout = TokenLayout(cfg.n_visual_tokens, n_prompt, n_resp)
+    items = as_items(items)
+    if not items:
+        raise ParameterError("forward: no items")
+    layout = _layout_of(items[0], cfg)
+    for item in items:
+        if _layout_of(item, cfg) != layout:
+            raise ParameterError(
+                f"forward: items mix token layouts {layout} and {_layout_of(item, cfg)}")
     if layout.total > cfg.max_seq_len:
         raise SequenceLengthError(
             f"sequence of {layout.total} tokens exceeds max_seq_len={cfg.max_seq_len}")
-    if n_prompt == 0:
+    if layout.n_prompt == 0:
         raise ParameterError("forward: prompt must be nonempty")
 
-    xv = Tensor(np.asarray(triplet.x_v, dtype=T.default_dtype()).reshape(1, -1))
-    if xv.shape[1] != cfg.d_descriptor:
-        raise ParameterError(
-            f"descriptor width {xv.shape[1]} does not match d_descriptor={cfg.d_descriptor}")
-    feats = T.reshape(T.linear(xv, model.vision_w), (cfg.n_visual_tokens, cfg.d_vision))
+    descriptors = [np.asarray(it.x_v, dtype=T.default_dtype()).reshape(-1) for it in items]
+    for x in descriptors:
+        if x.size != cfg.d_descriptor:
+            raise ParameterError(
+                f"descriptor width {x.size} does not match d_descriptor={cfg.d_descriptor}")
+    B, n_text = len(items), layout.n_prompt + layout.n_response
+    xv = Tensor(np.stack(descriptors))
+    feats = T.reshape(T.linear(xv, model.vision_w), (B * cfg.n_visual_tokens, cfg.d_vision))
     p1 = T.add(T.linear(feats, model.proj_w1), model.proj_b1)
     visual = T.add(T.linear(T.gelu(p1), model.proj_w2), model.proj_b2)
 
-    text_ids = list(triplet.x_p) + list(triplet.x_r)
+    text_ids = [t for it in items for t in (*it.x_p, *it.x_r)]
     text = T.embedding_lookup(model.embed, text_ids)
-    h = T.concat_rows([visual, text], axis=0)
+    d = cfg.d_model
+    h = T.concat_rows([T.reshape(visual, (B, cfg.n_visual_tokens, d)),
+                       T.reshape(text, (B, n_text, d))], axis=1)
+    h = T.reshape(h, (B * layout.total, d))
 
     if capture == "all":
         wanted = set(range(model.n_layers + 1))
@@ -291,21 +343,21 @@ def forward(model, triplet, capture="all"):
     if 0 in wanted:
         hidden[0] = h
     for i, layer in enumerate(model.layers):
-        h = _block_forward(model, i, layer, h)
+        h = _block_forward(model, i, layer, h, layout.total)
         if i + 1 in wanted:
             hidden[i + 1] = h
 
     final_normed = T.rms_norm(h, model.final_gain, cfg.rms_eps)
     logits = T.linear(final_normed, model.head_w)
     states = [hidden.get(i) for i in range(model.n_layers + 1)]
-    return ForwardTrace(states, final_normed, logits, layout)
+    return ForwardTrace(states, final_normed, logits, layout, B)
 
 
-def response_loss(trace, triplet):
-    """Teacher-forced cross-entropy over the rows predicting the response."""
-    lo, hi = trace.layout.loss_rows
-    rows = T.slice_rows(trace.logits, lo, hi)
-    return T.cross_entropy(rows, list(triplet.x_r))
+def response_loss(trace, items):
+    """Teacher-forced cross-entropy over the rows predicting the response,
+    averaged over all such rows of the trace's items."""
+    targets = [t for it in as_items(items) for t in it.x_r]
+    return T.cross_entropy(response_rows(trace, trace.logits), targets)
 
 
 def param_partition(model):
@@ -324,20 +376,3 @@ def param_partition(model):
     part["final-norm"] = ["final_norm.g"]
     part["head"] = ["head.w"]
     return part
-
-
-def decoder_param_names(model):
-    """Names counted as decoder-block (prunable-mass) parameters."""
-    names = []
-    for i in range(model.n_layers):
-        names.extend(param_partition(model)[f"decoder-layer-{i}"])
-    return names
-
-
-def toy_reference_config():
-    """The repo's reference toy configuration used by tests and shipped configs."""
-    return ModelConfig()
-
-
-def with_layer_count(config, n_layers):
-    return replace(config, n_layers=n_layers)

@@ -99,20 +99,24 @@ class LoraAdapter:
 
 # --------------------------------------------------------------------- losses
 
-def sft_loss(student, triplet):
-    """Supervised objective: cross-entropy of the response tokens under the student."""
-    trace = M.forward(student, triplet, capture=None)
-    return M.response_loss(trace, triplet)
+def sft_loss(student, items):
+    """Supervised objective: cross-entropy of the response tokens under the
+    student, averaged over items. Items may mix token layouts; each layout
+    bucket runs as one batched forward, weighted by its share of the items."""
+    items = M.as_items(items)
+    total = None
+    for idx in M.layout_buckets(items):
+        bucket = [items[i] for i in idx]
+        loss = M.response_loss(M.forward(student, bucket, capture=None), bucket)
+        term = T.scale(loss, len(bucket) / len(items))
+        total = term if total is None else T.add(total, term)
+    return total
 
 
 def _check_layouts(a, b):
-    if a.layout != b.layout:
-        raise GraphError(f"trace layouts differ: {a.layout} vs {b.layout}")
-
-
-def _response_rows(trace, tensor_):
-    lo, hi = trace.layout.loss_rows
-    return T.slice_rows(tensor_, lo, hi), hi - lo
+    if a.layout != b.layout or a.n_items != b.n_items:
+        raise GraphError(f"trace layouts differ: {a.n_items} x {a.layout} "
+                         f"vs {b.n_items} x {b.layout}")
 
 
 def kd_logits_loss(student_trace, teacher_trace, tau, direction):
@@ -128,9 +132,8 @@ def kd_logits_loss(student_trace, teacher_trace, tau, direction):
     _check_layouts(student_trace, teacher_trace)
     if student_trace.logits.shape != teacher_trace.logits.shape:
         raise GraphError("student and teacher logits have different shapes")
-    rows_s, n = _response_rows(student_trace, student_trace.logits)
-    lo, hi = teacher_trace.layout.loss_rows
-    t_logits = teacher_trace.logits.data[lo:hi] / tau
+    rows_s = M.response_rows(student_trace, student_trace.logits)
+    t_logits = M.response_rows(teacher_trace, teacher_trace.logits).data / tau
     t_logits = t_logits - t_logits.max(axis=1, keepdims=True)
     t_logp = t_logits - np.log(np.exp(t_logits).sum(axis=1, keepdims=True))
     t_p = np.exp(t_logp)
@@ -141,29 +144,51 @@ def kd_logits_loss(student_trace, teacher_trace, tau, direction):
     else:
         p_s = T.exp(logp_s)
         terms = T.mul(p_s, T.sub(logp_s, Tensor(t_logp)))
-    return T.scale(T.sum_all(terms), tau * tau / n)
+    return T.scale(T.sum_all(terms), tau * tau / rows_s.shape[0])
 
 
 def hidden_match_loss(student_trace, teacher_trace, layers=(-1,)):
     """Mean over response rows of squared L2 distance between block outputs,
-    averaged over the matched layers (negative indices count from the end)."""
+    averaged over the matched layers (block indices, 0-based; negative ones
+    count from the end). Each trace must have captured its matched blocks."""
     _check_layouts(student_trace, teacher_trace)
-    s_blocks = [h for h in student_trace.hidden_states[1:] if h is not None]
-    t_blocks = [h for h in teacher_trace.hidden_states[1:] if h is not None]
     if not layers:
         raise ParameterError("hidden_match_loss: no layers selected")
     total = None
     for k in layers:
-        hs = s_blocks[k]
-        ht = t_blocks[k]
+        hs = student_trace.hidden_states[1:][k]
+        ht = teacher_trace.hidden_states[1:][k]
+        if hs is None or ht is None:
+            raise GraphError(f"hidden_match_loss: block {k} was not captured")
         if hs.shape != ht.shape:
             raise GraphError(f"matched hidden states differ in shape: {hs.shape} vs {ht.shape}")
-        rows_s, n = _response_rows(student_trace, hs)
-        lo, hi = teacher_trace.layout.loss_rows
-        diff = T.sub(rows_s, Tensor(ht.data[lo:hi]))
-        term = T.scale(T.sum_all(T.mul(diff, diff)), 1.0 / n)
+        rows_s = M.response_rows(student_trace, hs)
+        diff = T.sub(rows_s, Tensor(M.response_rows(teacher_trace, ht).data))
+        term = T.scale(T.sum_all(T.mul(diff, diff)), 1.0 / rows_s.shape[0])
         total = term if total is None else T.add(total, term)
     return T.scale(total, 1.0 / len(layers))
+
+
+def _teacher_outputs(teacher, items, capture):
+    """Per item, the teacher's [logits, *hidden_states] as arrays of
+    layout.total rows (None where not captured), from one no-grad forward per
+    layout bucket."""
+    out = [None] * len(items)
+    with T.no_grad():
+        for idx in M.layout_buckets(items):
+            trace = M.forward(teacher, [items[i] for i in idx], capture=capture)
+            arrays = [None if t is None else t.data.reshape(len(idx), trace.layout.total, -1)
+                      for t in (trace.logits, *trace.hidden_states)]
+            for j, i in enumerate(idx):
+                out[i] = [None if a is None else a[j] for a in arrays]
+    return out
+
+
+def _stacked_trace(outputs, layout):
+    """A ForwardTrace of cached teacher outputs of items sharing `layout`."""
+    logits, *states = [None if a is None else Tensor(np.concatenate([o[k] for o in outputs]))
+                       for k, a in enumerate(outputs[0])]
+    return M.ForwardTrace(states, None, logits, layout, len(outputs))
 
 
 # ----------------------------------------------------------------------- LoRA
@@ -249,13 +274,61 @@ def _trainable_params(student, config, lora_adapters):
     return chosen
 
 
+def _batch_losses(student, batch, targets, config):
+    """Batch means of the SFT, logits-KD and hidden-match losses (None where
+    the coefficient is zero): one student forward per layout bucket, each
+    bucket weighted by its share of the batch. targets[j] holds the cached
+    teacher outputs of batch[j]."""
+    capture = "all" if config.gamma > 0 else None
+    sums = [None, None, None]
+    for sub in M.layout_buckets(batch):
+        bucket = [batch[j] for j in sub]
+        trace_s = M.forward(student, bucket, capture=capture)
+        terms = [M.response_loss(trace_s, bucket) if config.alpha > 0 else None, None, None]
+        if targets is not None:
+            trace_t = _stacked_trace([targets[j] for j in sub], trace_s.layout)
+            if config.beta > 0:
+                terms[1] = kd_logits_loss(trace_s, trace_t, config.tau, config.kd_direction)
+            if config.gamma > 0:
+                terms[2] = hidden_match_loss(trace_s, trace_t, config.match_layers)
+        for k, term in enumerate(terms):
+            if term is not None:
+                term = T.scale(term, len(sub) / len(batch))
+                sums[k] = term if sums[k] is None else T.add(sums[k], term)
+    return sums
+
+
+def _backward_step(student, batch, targets, config, step):
+    """Loss of one batch and its backward pass; returns (l_sft, l_logits,
+    l_match, total). The tape is freed on return."""
+    sft, logits, match = _batch_losses(student, batch, targets, config)
+    if match is not None:
+        # width-normalized so the three terms share an order of magnitude
+        match = T.scale(match, 1.0 / student.config.d_model)
+    values = [0.0 if term is None else term.item() for term in (sft, logits, match)]
+    total = None
+    for term, coef in ((sft, config.alpha), (logits, config.beta), (match, config.gamma)):
+        if term is not None:
+            term = T.scale(term, coef)
+            total = term if total is None else T.add(total, term)
+    total_val = total.item()
+    if not math.isfinite(total_val):
+        raise TrainingDivergedError(
+            f"non-finite loss at step {step}: "
+            f"sft={values[0]} logits={values[1]} match={values[2]}")
+    T.backward(total)
+    return (*values, total_val)
+
+
 def train(student, teacher, pool, config, eval_fn=None):
     """Run recovery training; mutates the student, returns a LossBreakdown.
 
     The teacher is only consulted (read-only, no tape) when beta or gamma is
-    positive. Scope "projector" updates the projector alone; "joint" adds LoRA
-    adapters on the attention q/v projections, merged into the base weights on
-    completion. Only scope-selected parameters change.
+    positive, once per distinct item of the subsample before the first step;
+    every step that draws the item reuses those outputs. Scope "projector"
+    updates the projector alone; "joint" adds LoRA adapters on the attention
+    q/v projections, merged into the base weights on completion. Only
+    scope-selected parameters change.
     """
     if not pool:
         raise ParameterError("train: empty data pool")
@@ -267,6 +340,13 @@ def train(student, teacher, pool, config, eval_fn=None):
         raise ParameterError("beta/gamma > 0 requires a teacher")
 
     data = subsample(pool, config.data_fraction, config.seed)
+    cache = None
+    if needs_teacher:
+        # The teacher is frozen: one pass per distinct item serves every step.
+        # Only the block outputs that hidden-state matching reads are kept.
+        blocks = range(1, teacher.n_layers + 1)
+        capture = sorted({blocks[k] for k in config.match_layers}) if config.gamma > 0 else None
+        cache = _teacher_outputs(teacher, data, capture)
     adapters = []
     if config.scope == "joint":
         adapters = attach_lora(student, config.lora, seed=config.seed)
@@ -281,7 +361,6 @@ def train(student, teacher, pool, config, eval_fn=None):
             p.requires_grad = False
             frozen.append(p)
 
-    capture = "all" if config.gamma > 0 else None
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(len(data))
     pos = 0
@@ -294,51 +373,11 @@ def train(student, teacher, pool, config, eval_fn=None):
             idx = order[pos:pos + config.batch_size]
             pos += config.batch_size
             batch = [data[i] for i in idx]
+            targets = None if cache is None else [cache[i] for i in idx]
 
             opt.zero_grad()
-            sft_sum = logits_sum = match_sum = None
-            for item in batch:
-                trace_s = M.forward(student, item, capture=capture)
-                if config.alpha > 0:
-                    term = M.response_loss(trace_s, item)
-                    sft_sum = term if sft_sum is None else T.add(sft_sum, term)
-                if needs_teacher:
-                    with T.no_grad():
-                        trace_t = M.forward(teacher, item,
-                                            capture=None if config.gamma == 0 else "all")
-                    if config.beta > 0:
-                        term = kd_logits_loss(trace_s, trace_t, config.tau,
-                                              config.kd_direction)
-                        logits_sum = term if logits_sum is None else T.add(logits_sum, term)
-                    if config.gamma > 0:
-                        term = hidden_match_loss(trace_s, trace_t, config.match_layers)
-                        match_sum = term if match_sum is None else T.add(match_sum, term)
-
-            inv = 1.0 / len(batch)
-            parts = []
-            l_sft = l_logits = l_match = 0.0
-            if sft_sum is not None:
-                sft_mean = T.scale(sft_sum, inv)
-                l_sft = sft_mean.item()
-                parts.append(T.scale(sft_mean, config.alpha))
-            if logits_sum is not None:
-                logits_mean = T.scale(logits_sum, inv)
-                l_logits = logits_mean.item()
-                parts.append(T.scale(logits_mean, config.beta))
-            if match_sum is not None:
-                # width-normalized so the three terms share an order of magnitude
-                match_mean = T.scale(match_sum, inv / student.config.d_model)
-                l_match = match_mean.item()
-                parts.append(T.scale(match_mean, config.gamma))
-            total = parts[0]
-            for part in parts[1:]:
-                total = T.add(total, part)
-            total_val = total.item()
-            if not math.isfinite(total_val):
-                raise TrainingDivergedError(
-                    f"non-finite loss at step {step}: "
-                    f"sft={l_sft} logits={l_logits} match={l_match}")
-            T.backward(total)
+            l_sft, l_logits, l_match, total_val = _backward_step(student, batch, targets,
+                                                                 config, step)
             opt.step()
 
             metric = None
@@ -393,15 +432,12 @@ def train_teacher(model, pool, config=TeacherConfig(), eval_fn=None, eval_every=
         idx = order[pos:pos + config.batch_size]
         pos += config.batch_size
         opt.zero_grad()
-        total = None
-        for i in idx:
-            loss = M.response_loss(M.forward(model, pool[i], capture=None), pool[i])
-            total = loss if total is None else T.add(total, loss)
-        total = T.scale(total, 1.0 / len(idx))
+        total = sft_loss(model, [pool[i] for i in idx])
         total_val = total.item()
         if not math.isfinite(total_val):
             raise TrainingDivergedError(f"non-finite loss at step {step}")
         T.backward(total)
+        del total  # free this step's tape before the next step builds one
         gn = math.sqrt(sum(float((p.grad ** 2).sum())
                            for _, p in params if p.grad is not None))
         opt.step(grad_scale=min(1.0, config.clip / gn) if gn > 0 else 1.0)

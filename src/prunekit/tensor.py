@@ -31,7 +31,6 @@ __all__ = [
     "zeros",
     "add",
     "sub",
-    "neg",
     "mul",
     "scale",
     "matmul",
@@ -213,13 +212,6 @@ def sub(a, b):
         push(b, -_reduce_to(g, b.data.shape))
 
     return Tensor._from_op(out_data, (a, b), bwd, "sub")
-
-
-def neg(a):
-    def bwd(g, push):
-        push(a, -g)
-
-    return Tensor._from_op(-a.data, (a,), bwd, "neg")
 
 
 def mul(a, b):
@@ -430,38 +422,56 @@ def cross_entropy(logits, targets, ignore_mask=None):
     return Tensor._from_op(out_data, (logits,), bwd, "cross_entropy")
 
 
-def causal_attention(q, k, v, n_heads):
-    """Multi-head causal attention over (T, n_heads*head_dim) projections.
+def _sequence_count(rows, seq_len, op):
+    """(B, T): `rows` rows stack B sequences of T = seq_len positions (B=1 when None)."""
+    if seq_len is None:
+        return 1, rows
+    if seq_len < 1 or rows % seq_len != 0:
+        raise DimensionError(
+            f"{op}: {rows} rows are not a whole number of length-{seq_len} sequences")
+    return rows // seq_len, seq_len
 
-    Scores are scaled by 1/sqrt(head_dim); position t attends to positions <= t.
+
+def causal_attention(q, k, v, n_heads, seq_len=None):
+    """Multi-head causal attention over (B*T, n_heads*head_dim) projections.
+
+    The rows stack B independent sequences of seq_len = T positions each (one
+    sequence when seq_len is None). Scores are scaled by 1/sqrt(head_dim);
+    position t attends to positions <= t of its own sequence.
     """
-    T, width = q.data.shape
-    if k.data.shape != (T, width) or v.data.shape != (T, width):
+    rows, width = q.data.shape
+    if k.data.shape != (rows, width) or v.data.shape != (rows, width):
         raise DimensionError(
             f"causal_attention: q/k/v shapes differ: {q.data.shape} {k.data.shape} {v.data.shape}")
     if width % n_heads != 0:
         raise DimensionError(f"causal_attention: width {width} not divisible by {n_heads} heads")
+    B, T = _sequence_count(rows, seq_len, "causal_attention")
     hd = width // n_heads
     sc = 1.0 / math.sqrt(hd)
-    # (h, T, d) layout so per-head contractions are batched matmuls
-    qh = np.ascontiguousarray(q.data.reshape(T, n_heads, hd).transpose(1, 0, 2))
-    kh = np.ascontiguousarray(k.data.reshape(T, n_heads, hd).transpose(1, 0, 2))
-    vh = np.ascontiguousarray(v.data.reshape(T, n_heads, hd).transpose(1, 0, 2))
+
+    def split(x):  # (B*T, h*d) -> (B*h, T, d): per-head contractions become batched matmuls
+        return np.ascontiguousarray(
+            x.reshape(B, T, n_heads, hd).transpose(0, 2, 1, 3)).reshape(B * n_heads, T, hd)
+
+    def merge(x):  # inverse of split
+        return x.reshape(B, n_heads, T, hd).transpose(0, 2, 1, 3).reshape(rows, width)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
     s = np.matmul(qh, kh.transpose(0, 2, 1)) * sc
     s[:, _causal_mask(T)] = -np.inf
     p = _softmax_data(s, 1.0, -1)
-    out_data = np.matmul(p, vh).transpose(1, 0, 2).reshape(T, width)
+    out_data = merge(np.matmul(p, vh))
 
     def bwd(g, push):
-        gh = np.ascontiguousarray(g.reshape(T, n_heads, hd).transpose(1, 0, 2))
+        gh = split(g)
         dp = np.matmul(gh, vh.transpose(0, 2, 1))
         dv = np.matmul(p.transpose(0, 2, 1), gh)
         ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
         dq = np.matmul(ds, kh) * sc
         dk = np.matmul(ds.transpose(0, 2, 1), qh) * sc
-        push(q, dq.transpose(1, 0, 2).reshape(T, width))
-        push(k, dk.transpose(1, 0, 2).reshape(T, width))
-        push(v, dv.transpose(1, 0, 2).reshape(T, width))
+        push(q, merge(dq))
+        push(k, merge(dk))
+        push(v, merge(dv))
 
     return Tensor._from_op(out_data, (q, k, v), bwd, "causal_attention")
 
@@ -492,16 +502,21 @@ def _rope_tables(T, hd, dtype):
     return hit
 
 
-def rope(x, n_heads):
-    """Rotary position embedding over (T, n_heads*head_dim); adjacent pairs rotated."""
-    T, width = x.data.shape
+def rope(x, n_heads, seq_len=None):
+    """Rotary position embedding over (B*T, n_heads*head_dim); adjacent pairs rotated.
+
+    The rows stack B sequences of seq_len = T positions each (one sequence when
+    seq_len is None); positions restart at 0 in every sequence.
+    """
+    rows, width = x.data.shape
     if width % n_heads != 0:
         raise DimensionError(f"rope: width {width} not divisible by {n_heads} heads")
     hd = width // n_heads
     if hd % 2 != 0:
         raise DimensionError(f"rope: head_dim {hd} must be even")
+    B, T = _sequence_count(rows, seq_len, "rope")
     cos, sin = _rope_tables(T, hd, x.data.dtype)
-    x4 = x.data.reshape(T, n_heads, hd // 2, 2)
+    x4 = x.data.reshape(B, T, n_heads, hd // 2, 2)
     a, b = x4[..., 0], x4[..., 1]
     c = cos[:, None, :]
     s = sin[:, None, :]
@@ -510,14 +525,14 @@ def rope(x, n_heads):
     out[..., 1] = a * s + b * c
 
     def bwd(g, push):
-        g4 = g.reshape(T, n_heads, hd // 2, 2)
+        g4 = g.reshape(B, T, n_heads, hd // 2, 2)
         ga, gb = g4[..., 0], g4[..., 1]
         gx = np.empty_like(g4)
         gx[..., 0] = ga * c + gb * s
         gx[..., 1] = -ga * s + gb * c
-        push(x, gx.reshape(T, width))
+        push(x, gx.reshape(rows, width))
 
-    return Tensor._from_op(out.reshape(T, width), (x,), bwd, "rope")
+    return Tensor._from_op(out.reshape(rows, width), (x,), bwd, "rope")
 
 
 def slice_rows(x, start, stop, axis=0):

@@ -9,6 +9,7 @@ from scipy import stats
 from prunekit import data as D
 from prunekit import importance as I
 from prunekit import model as M
+from prunekit import pruning as P
 from prunekit import tensor as T
 from prunekit.importance import NonFiniteGradientError
 from prunekit.model import ModelConfig
@@ -154,6 +155,42 @@ def test_duplicated_calibration_set_gives_identical_importances():
     I.taylor_group_importance(model, groups_b, calib + calib)
     for a, b in zip(groups_a, groups_b):
         assert abs(a.importance - b.importance) <= 1e-6 * max(1.0, abs(a.importance))
+
+
+def per_slice_taylor_oracle(model, groups, calib):
+    """The straight per-group, per-slice loop over one backward per item."""
+    by_name = dict(model.named_parameters())
+    acc = np.zeros(len(groups))
+    for item in calib:
+        for _, p in model.named_parameters():
+            p.grad = None
+        T.backward(M.response_loss(M.forward(model, item, capture=None), item))
+        for gi, group in enumerate(groups):
+            for sl in group.slices:
+                p = by_name[sl.param]
+                if p.grad is not None:
+                    acc[gi] += float(np.abs(sl.take(p.grad) * sl.take(p.data)).sum())
+    for _, p in model.named_parameters():
+        p.grad = None
+    return acc / len(calib)
+
+
+def test_taylor_matches_per_slice_loop_oracle(rng):
+    model = M.init(ModelConfig(), seed=6)
+    model.head_w.data[...] = rng.standard_normal(model.head_w.data.shape) * 0.1
+    calib = calib_items(n=4, seed=5)
+    groups = I.build_dependency_groups(model)
+    I.taylor_group_importance(model, groups, calib)
+    np.testing.assert_allclose([g.importance for g in groups],
+                               per_slice_taylor_oracle(model, groups, calib), rtol=1e-5)
+
+    # ragged widths after surgery, and a shuffled subset of groups
+    P.execute(model, P.plan("widthwise", I.group_report(model, groups), 0.3))
+    groups = I.build_dependency_groups(model)
+    subset = [groups[i] for i in rng.permutation(len(groups))[:50]]
+    I.taylor_group_importance(model, subset, calib)
+    np.testing.assert_allclose([g.importance for g in subset],
+                               per_slice_taylor_oracle(model, subset, calib), rtol=1e-5)
 
 
 def lookup_trained_tiny_model():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from prunekit import accounting as A
+from prunekit import data as D
 from prunekit import model as M
 from prunekit import tensor as T
 from prunekit.model import ModelConfig, SequenceLengthError, Triplet
@@ -211,3 +212,97 @@ def test_model_copy_is_independent():
     clone.embed.data[0, 0] += 1.0
     assert clone.checksum() != model.checksum()
     assert not clone.vision_w.requires_grad
+
+
+# ------------------------------------------------------- batched forward
+
+def mixed_pool(n=80, seed=0):
+    """Items of both token layouts (prompt length 1 and 2), in dataset order."""
+    train, _ = D.generate_dataset(n=n, seed=seed)
+    assert len({len(it.x_p) for it in train}) == 2
+    return train
+
+
+def assert_float32_close(got, want, ulps=32):
+    """Equal up to float32 rounding, measured against the array's largest entry."""
+    scale = np.finfo(np.float32).eps * np.abs(want).max()
+    assert np.abs(got - want).max() <= ulps * scale
+
+
+def test_layout_buckets_group_by_layout_and_cap_size():
+    pool = mixed_pool(n=120)
+    buckets = M.layout_buckets(pool)
+    assert sorted(i for b in buckets for i in b) == list(range(len(pool)))
+    for b in buckets:
+        assert 1 <= len(b) <= M.BUCKET_SIZE
+        assert b == sorted(b)
+        assert len({(len(pool[i].x_p), len(pool[i].x_r)) for i in b}) == 1
+    assert max(len(b) for b in buckets) == M.BUCKET_SIZE
+
+
+def test_batched_forward_matches_per_item_forwards(rng):
+    cfg = ModelConfig()
+    model = M.init(cfg, seed=4)
+    model.head_w.data[...] = rng.standard_normal(model.head_w.data.shape) * 0.1
+    pool = mixed_pool()
+    for idx in M.layout_buckets(pool):
+        items = [pool[i] for i in idx]
+        batched = M.forward(model, items)
+        n_rows = batched.layout.total
+        assert batched.n_items == len(items)
+        assert batched.logits.shape == (len(items) * n_rows, cfg.vocab_size)
+        for j, item in enumerate(items):
+            single = M.forward(model, item)
+            rows = slice(j * n_rows, (j + 1) * n_rows)
+            pairs = [(batched.logits, single.logits)]
+            pairs += list(zip(batched.hidden_states, single.hidden_states))
+            for b, s in pairs:
+                assert_float32_close(b.data[rows], s.data)
+
+
+def test_one_item_list_is_bitwise_the_bare_triplet(rng):
+    cfg = ModelConfig()
+    model = M.init(cfg, seed=6)
+    model.head_w.data[...] = rng.standard_normal(model.head_w.data.shape) * 0.1
+    trip = make_triplet(cfg, rng, n_prompt=2, n_resp=2)
+    runs = []
+    for items in (trip, [trip]):
+        for _, p in model.named_parameters():
+            p.grad = None
+        trace = M.forward(model, items)
+        loss = M.response_loss(trace, items)
+        T.backward(loss)
+        runs.append((trace, loss, {n: p.grad.copy() for n, p in model.named_parameters()
+                                   if p.grad is not None}))
+    (ta, la, ga), (tb, lb, gb) = runs
+    assert ta.layout == tb.layout and ta.n_items == tb.n_items == 1
+    assert ta.logits.data.tobytes() == tb.logits.data.tobytes()
+    for a, b in zip(ta.hidden_states, tb.hidden_states):
+        assert a.data.tobytes() == b.data.tobytes()
+    assert la.data.tobytes() == lb.data.tobytes()
+    assert ga.keys() == gb.keys()
+    for name in ga:
+        assert ga[name].tobytes() == gb[name].tobytes(), name
+
+
+def test_forward_rejects_mixed_layouts(rng):
+    cfg = ModelConfig()
+    model = M.init(cfg, seed=0)
+    items = [make_triplet(cfg, rng, n_prompt=1), make_triplet(cfg, rng, n_prompt=2)]
+    with pytest.raises(ParameterError, match="layout"):
+        M.forward(model, items)
+    with pytest.raises(ParameterError):
+        M.forward(model, [])
+
+
+def test_batched_forward_keeps_per_item_checks(rng):
+    cfg = ModelConfig(max_seq_len=8)
+    model = M.init(cfg, seed=0)
+    good = make_triplet(cfg, rng, n_prompt=2)
+    with pytest.raises(SequenceLengthError):
+        M.forward(model, [make_triplet(cfg, rng, n_prompt=4, n_resp=2)] * 2)
+    with pytest.raises(ParameterError, match="prompt"):
+        M.forward(model, [Triplet(good.x_v, (), good.x_r)] * 2)
+    narrow = Triplet(good.x_v[:-1], good.x_p, good.x_r)
+    with pytest.raises(ParameterError, match="descriptor"):
+        M.forward(model, [good, narrow])

@@ -327,3 +327,92 @@ def test_vision_frozen_through_recovery():
                          scope="joint", lr=0.02, steps=10, batch_size=4, seed=1)
     R.train(student, teacher, pool, cfg)
     assert student.vision_w.data.tobytes() == before.tobytes()
+
+
+# ------------------------------------------------------ batched equivalence
+
+def per_item_mean_loss(model, items):
+    total = None
+    for it in items:
+        loss = M.response_loss(M.forward(model, it, capture=None), it)
+        total = loss if total is None else T.add(total, loss)
+    return T.scale(total, 1.0 / len(items))
+
+
+def loss_and_grads(model, build):
+    params = [(n, p) for n, p in model.named_parameters() if p.requires_grad]
+    for _, p in params:
+        p.grad = None
+    loss = build()
+    T.backward(loss)
+    return loss.item(), {n: p.grad.copy() for n, p in params}
+
+
+def test_batched_loss_and_gradients_match_per_item_mean(rng):
+    model = M.init(ModelConfig(), seed=8)
+    model.head_w.data[...] = rng.standard_normal(model.head_w.data.shape) * 0.1
+    train, _ = D.generate_dataset(n=90, seed=8)
+    items = train[:70]  # both layouts, one of them over M.BUCKET_SIZE items
+    assert len(M.layout_buckets(items)) >= 3
+    got, g_got = loss_and_grads(model, lambda: R.sft_loss(model, items))
+    want, g_want = loss_and_grads(model, lambda: per_item_mean_loss(model, items))
+    assert rel_err(np.float64(got), np.float64(want)) <= 1e-5
+    assert g_got.keys() == g_want.keys()
+    for name in g_want:
+        # relative to the parameter's largest gradient entry: entries that
+        # cancel across items carry float32 rounding of the summands
+        err = np.abs(g_got[name] - g_want[name]).max() / np.abs(g_want[name]).max()
+        assert err <= 1e-5, (name, err)
+
+
+def recompute_teacher_oracle(student, teacher, pool, config):
+    """Projector-scope recovery, one item at a time, re-running the teacher at
+    every step: the reference for the teacher-output cache."""
+    data = R.subsample(pool, config.data_fraction, config.seed)
+    names = set(M.param_partition(student)["projector"])
+    params = [(n, p) for n, p in student.named_parameters() if n in names]
+    opt = R.Sgd(params, lr=config.lr, momentum=config.momentum)
+    rng = np.random.default_rng(config.seed)
+    order = rng.permutation(len(data))
+    pos = 0
+    steps = []
+    for _ in range(config.steps):
+        if pos + config.batch_size > len(order):
+            order = rng.permutation(len(data))
+            pos = 0
+        batch = [data[i] for i in order[pos:pos + config.batch_size]]
+        pos += config.batch_size
+        opt.zero_grad()
+        sums = [None, None, None]
+        for item in batch:
+            trace_s = M.forward(student, item)
+            with T.no_grad():
+                trace_t = M.forward(teacher, item)
+            terms = (M.response_loss(trace_s, item),
+                     R.kd_logits_loss(trace_s, trace_t, config.tau, config.kd_direction),
+                     R.hidden_match_loss(trace_s, trace_t, config.match_layers))
+            sums = [t if s is None else T.add(s, t) for s, t in zip(sums, terms)]
+        sft, logits, match = (T.scale(s, 1.0 / len(batch)) for s in sums)
+        match = T.scale(match, 1.0 / student.config.d_model)
+        total = T.add(T.add(T.scale(sft, config.alpha), T.scale(logits, config.beta)),
+                      T.scale(match, config.gamma))
+        steps.append((sft.item(), logits.item(), match.item(), total.item()))
+        T.backward(total)
+        opt.step()
+    return steps
+
+
+def test_teacher_output_cache_matches_recomputing_the_teacher():
+    teacher, student, pool = small_recovery_setup()
+    cfg = RecoveryConfig(alpha=1.0, beta=1.0, gamma=1.0, kd_direction="rkl",
+                         match_layers=(-2, -1), scope="projector", data_fraction=0.25,
+                         lr=0.02, steps=8, batch_size=5, seed=3)
+    history = R.train(student.copy(), teacher, pool, cfg)
+    oracle = recompute_teacher_oracle(student.copy(), teacher, pool, cfg)
+    assert len(history.steps) == len(oracle)
+    for step, want in zip(history.steps, oracle):
+        got = [step[k] for k in ("l_sft", "l_logits", "l_match", "total")]
+        # float32 rounding of O(1) logits: absolute, since the KL and match
+        # terms are small differences of such numbers
+        tol = 32 * np.finfo(np.float32).eps
+        assert np.allclose(got, want, rtol=tol, atol=tol), (step["step"], got, want)

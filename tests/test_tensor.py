@@ -283,3 +283,32 @@ def test_outputs_finite_on_valid_inputs(rng):
     x = Tensor(rng.standard_normal((4, 4)) * 10)
     for out in [T.gelu(x), T.softmax(x), T.log_softmax(x), T.rms_norm(x, Tensor(np.ones(4)))]:
         assert np.isfinite(out.data).all()
+
+
+def test_grad_attention_and_rope_over_stacked_sequences(rng):
+    n_seq, t, heads, hd = 3, 4, 2, 4
+    w = heads * hd
+    mark = rng.standard_normal((n_seq * t, w))
+
+    def build(p):
+        q = T.rope(p[0], heads, seq_len=t)
+        k = T.rope(p[1], heads, seq_len=t)
+        out = T.causal_attention(q, k, p[2], heads, seq_len=t)
+        return T.sum_all(T.mul(out, Tensor(mark)))
+
+    grad_check(build, [rng.standard_normal((n_seq * t, w)) for _ in range(3)])
+
+
+def test_stacked_sequences_match_one_at_a_time(rng):
+    n_seq, t, heads = 3, 5, 2
+    q, k, v = (rng.standard_normal((n_seq * t, 8)) for _ in range(3))
+    with T.precision("float64"):
+        stacked = T.causal_attention(T.rope(Tensor(q), heads, t), T.rope(Tensor(k), heads, t),
+                                     Tensor(v), heads, t).data
+        for s in range(n_seq):
+            rows = slice(s * t, (s + 1) * t)
+            one = T.causal_attention(T.rope(Tensor(q[rows]), heads),
+                                     T.rope(Tensor(k[rows]), heads), Tensor(v[rows]), heads).data
+            np.testing.assert_allclose(stacked[rows], one, rtol=1e-12, atol=1e-12)
+    with pytest.raises(DimensionError):
+        T.rope(Tensor(q), heads, seq_len=4)
