@@ -62,12 +62,22 @@ def shape_of_config(config):
     )
 
 
+def group_param_count(shape, kind):
+    """Parameters in one widthwise prune group: an attention head's q/k/v
+    output rows plus its o-projection input columns, or an MLP channel's row
+    or column of each ffn matrix."""
+    if kind == "attention-head":
+        return 4 * shape.d_model * shape.head_dim
+    if kind == "mlp-channel":
+        return shape.ffn_matrices * shape.d_model
+    raise ParameterError(f"unknown group kind {kind!r}")
+
+
 def layer_param_count(shape, layer):
-    d = shape.d_model
-    attn = 4 * d * layer.n_heads * shape.head_dim
-    mlp = shape.ffn_matrices * d * layer.d_ffn
-    norms = 2 * d
-    return attn + mlp + norms
+    """A decoder block's heads and channels plus its two norm gains."""
+    return (layer.n_heads * group_param_count(shape, "attention-head")
+            + layer.d_ffn * group_param_count(shape, "mlp-channel")
+            + 2 * shape.d_model)
 
 
 def decoder_param_count(shape):
@@ -159,8 +169,8 @@ def scale_shape_widthwise(shape, ratio):
         prunable = total - 2 * d
         target_prunable = prunable - ratio * total
         nh = max(1, round(layer.n_heads * (1 - ratio)))
-        attn = 4 * d * nh * shape.head_dim
-        ffn = round((target_prunable - attn) / (shape.ffn_matrices * d))
+        attn = nh * group_param_count(shape, "attention-head")
+        ffn = round((target_prunable - attn) / group_param_count(shape, "mlp-channel"))
         ffn = max(shape.head_dim, ffn)
         new_layers.append(LayerShape(nh, ffn))
     return replace(shape, layers=tuple(new_layers))

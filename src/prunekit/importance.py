@@ -4,10 +4,12 @@ Layer scores are Block Influence: one minus the mean token-wise cosine
 similarity between a block's input and output hidden states. Width scores are
 first-order Taylor group importances: for each dependency-closed unit
 (attention head or MLP channel), the calibration-mean of the summed
-|gradient x weight| over the unit's weight slices. Block Influence runs the
-calibration set in layout buckets; Taylor scoring runs one item at a time,
-because the mean of per-item absolute values is not the absolute value of a
-batch gradient.
+|gradient x weight| over the unit's weight slices. Both run the calibration
+set in layout buckets. Taylor scoring needs each item's own weight gradient,
+since the mean of per-item absolute values is not the absolute value of a
+batch gradient; one backward per bucket gives them all, because a linear's
+per-item weight gradient is that item's output-gradient rows times its input
+rows.
 """
 
 from __future__ import annotations
@@ -19,7 +21,14 @@ import numpy as np
 from . import model as M
 from . import tensor as T
 from .accounting import shape_of
-from .tensor import ParameterError
+from .tensor import GraphError, ParameterError
+
+
+# Items per Taylor chunk. Each chunk holds its tape and, per grouped matrix,
+# the (items, out, in) per-item weight gradients: the peak memory of Taylor
+# scoring grows with this size, and 8 keeps it within that of the other
+# stages, where 16 or 32 raised it above them.
+TAYLOR_CHUNK_SIZE = 8
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -171,41 +180,81 @@ def _slice_plan(groups):
     return {key: tuple(np.asarray(v) for v in lists) for key, lists in plan.items()}
 
 
+def _grouped_linears(loss, weights):
+    """name -> the one linear node on the loss's tape whose weight operand is
+    the parameter `weights[name]`. Raises GraphError for any other count, e.g.
+    when a LoRA adapter makes the linear's weight an effective-weight sum."""
+    owner = {id(w): name for name, w in weights.items()}
+    found = {name: [] for name in weights}
+    seen = set()
+    stack = [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node.op == "linear" and id(node.parents[1]) in owner:
+            found[owner[id(node.parents[1])]].append(node)
+        stack.extend(node.parents)
+    for name, nodes in found.items():
+        if len(nodes) != 1:
+            raise GraphError(f"taylor importance: {name} is the weight of {len(nodes)} "
+                             f"linear ops on the tape, expected exactly 1")
+    return {name: nodes[0] for name, nodes in found.items()}
+
+
+def _add_abs_item_grads(model, items, weights, sums):
+    """One forward and one backward over a layout chunk; adds sum_i |g_i^T x_i|
+    of each grouped linear to sums[name] in float64. The chunk's tape is freed
+    when this returns, before the next chunk's is built."""
+    for _, p in model.named_parameters():
+        p.grad = None
+    trace = M.forward(model, items, capture=None)
+    # the chunk shares n_response, so B x the row mean is the sum of item losses
+    loss = T.scale(M.response_loss(trace, items), len(items))
+    linears = _grouped_linears(loss, weights)
+    T.backward(loss, retain=list(linears.values()))
+    for name, p in model.named_parameters():
+        if p.grad is not None and not np.isfinite(p.grad).all():
+            raise NonFiniteGradientError(f"non-finite gradient in {name}")
+    b = len(items)
+    for name, node in linears.items():
+        x, g = node.parents[0].data, node.grad
+        per_item = np.matmul(g.reshape(b, -1, g.shape[1]).transpose(0, 2, 1),
+                             x.reshape(b, -1, x.shape[1]))
+        sums[name] += np.abs(per_item, out=per_item).sum(axis=0, dtype=np.float64)
+
+
 def taylor_group_importance(model, groups, calib):
     """Fill group importances: mean over calibration triplets of the summed
     |grad x weight| over each group's member slices.
 
-    One backward pass per triplet, since the score is a mean of per-item
-    absolute values. Per item, |grad x weight| is formed once per matrix and
-    summed across the slice axis; a group's share is then a difference of
-    prefix sums along that axis. Per-item scores accumulate in list order, so
-    the result is order-deterministic.
+    The score is a mean of per-item absolute values, so it needs each item's
+    own weight gradient, not the batch gradient. For a linear y = x W^T, item
+    i's weight gradient is g_i^T x_i, built from the item's own output-gradient
+    rows g_i and input rows x_i. So the calibration set runs in layout chunks
+    of at most TAYLOR_CHUNK_SIZE items, one forward and one backward per chunk
+    of the summed per-item losses, keeping the output gradient of every
+    grouped linear. Per matrix, sum_i |g_i^T x_i| accumulates in float64 over
+    the chunks; times |W|, it is summed across the slice axis, and a group's
+    share is then a difference of prefix sums along that axis.
     """
     if not calib:
         raise ParameterError("taylor importance: empty calibration set")
     by_name = dict(model.named_parameters())
     plan = _slice_plan(groups)
-    acc = np.zeros(len(groups), dtype=np.float64)
-    for item in calib:
-        for _, p in model.named_parameters():
-            p.grad = None
-        trace = M.forward(model, item, capture=None)
-        loss = M.response_loss(trace, item)
-        T.backward(loss)
-        for name, p in model.named_parameters():
-            if p.grad is not None and not np.isfinite(p.grad).all():
-                raise NonFiniteGradientError(f"non-finite gradient in {name}")
-        for (name, axis), (starts, stops, owners) in plan.items():
-            p = by_name[name]
-            if p.grad is None:
-                continue
-            other = tuple(a for a in range(p.data.ndim) if a != axis)
-            per_index = np.abs(p.grad * p.data).sum(axis=other, dtype=np.float64)
-            prefix = np.concatenate(([0.0], np.cumsum(per_index)))
-            acc += np.bincount(owners, weights=prefix[stops] - prefix[starts],
-                               minlength=len(groups))
+    weights = {name: by_name[name] for name, _ in plan}
+    sums = {name: np.zeros(w.data.shape) for name, w in weights.items()}
+    for idx in M.layout_buckets(calib, size=TAYLOR_CHUNK_SIZE):
+        _add_abs_item_grads(model, [calib[i] for i in idx], weights, sums)
     for _, p in model.named_parameters():
         p.grad = None
+    acc = np.zeros(len(groups))
+    for (name, axis), (starts, stops, owners) in plan.items():
+        per_index = (sums[name] * np.abs(weights[name].data)).sum(axis=1 - axis)
+        prefix = np.concatenate(([0.0], np.cumsum(per_index)))
+        acc += np.bincount(owners, weights=prefix[stops] - prefix[starts],
+                           minlength=len(groups))
     for gi, group in enumerate(groups):
         group.importance = float(acc[gi] / len(calib))
     return groups
@@ -221,15 +270,19 @@ def group_scale_sensitivity(model, group, calib):
     group's weights: sum over member weights of grad*weight, calibration mean.
 
     This is the true limit of dLoss/depsilon under w -> (1-eps)w; the Taylor
-    importance (sum of absolute values) upper-bounds its magnitude.
+    importance (sum of absolute values) upper-bounds its magnitude. The signed
+    sum is linear in the per-item gradients, so each layout bucket needs only
+    the gradient of its summed per-item losses.
     """
     by_name = dict(model.named_parameters())
     total = 0.0
-    for item in calib:
+    for idx in M.layout_buckets(calib):
+        items = [calib[i] for i in idx]
         for _, p in model.named_parameters():
             p.grad = None
-        trace = M.forward(model, item, capture=None)
-        T.backward(M.response_loss(trace, item))
+        trace = M.forward(model, items, capture=None)
+        T.backward(T.scale(M.response_loss(trace, items), len(items)))
+        del trace
         for sl in group.slices:
             p = by_name[sl.param]
             if p.grad is not None:

@@ -120,14 +120,14 @@ def _layout_of(triplet, config):
     return TokenLayout(config.n_visual_tokens, len(triplet.x_p), len(triplet.x_r))
 
 
-def layout_buckets(items):
+def layout_buckets(items, size=BUCKET_SIZE):
     """Indices of `items` grouped by prompt and response length, in order of
-    first appearance, each group cut into runs of at most BUCKET_SIZE."""
+    first appearance, each group cut into runs of at most `size`."""
     groups = {}
     for i, item in enumerate(items):
         groups.setdefault((len(item.x_p), len(item.x_r)), []).append(i)
-    return [idx[lo:lo + BUCKET_SIZE] for idx in groups.values()
-            for lo in range(0, len(idx), BUCKET_SIZE)]
+    return [idx[lo:lo + size] for idx in groups.values()
+            for lo in range(0, len(idx), size)]
 
 
 class DecoderLayer:

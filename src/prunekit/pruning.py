@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accounting import decoder_param_count, shape_of
+from .accounting import decoder_param_count, group_param_count, layer_param_count, shape_of
 from .importance import BlockInfluenceReport, GroupImportanceReport
 from .tensor import ParameterError, Tensor
 
@@ -68,12 +68,6 @@ def _check_ratio(ratio):
         raise ParameterError(f"target ratio must be in (0,1), got {ratio}")
 
 
-def _layer_params(shape, i):
-    l = shape.layers[i]
-    return 4 * shape.d_model * l.n_heads * shape.head_dim \
-        + shape.ffn_matrices * shape.d_model * l.d_ffn + 2 * shape.d_model
-
-
 def plan(mode, report, target_ratio, floors=Floors()):
     """Build a PrunePlan from an importance report.
 
@@ -106,7 +100,7 @@ def plan(mode, report, target_ratio, floors=Floors()):
 
 def _plan_layerwise(report, target_ratio):
     shape = report.shape
-    sizes = [_layer_params(shape, i) for i in range(shape.n_layers)]
+    sizes = [layer_param_count(shape, l) for l in shape.layers]
     total = sum(sizes)
     budget = target_ratio * total
     removed = 0
@@ -134,18 +128,15 @@ def _plan_widthwise(report, target_ratio, floors):
     if any(g.importance is None for g in groups):
         raise ParameterError("widthwise planning needs importances filled in")
     shape = report.shape
-    d = shape.d_model
-    hd = shape.head_dim
     total = decoder_param_count(shape)
     budget = target_ratio * total
-    min_ch = floors.resolved_channels(hd)
+    min_ch = floors.resolved_channels(shape.head_dim)
     if floors.min_heads < 1 or min_ch < 1:
         raise ParameterError("floors must retain at least one head and one channel")
 
     remaining = {i: {"attention-head": l.n_heads, "mlp-channel": l.d_ffn}
                  for i, l in enumerate(shape.layers)}
     floor_of = {"attention-head": floors.min_heads, "mlp-channel": min_ch}
-    size_of = {"attention-head": 4 * hd * d, "mlp-channel": 2 * d}
 
     order = sorted(groups, key=lambda g: (g.importance, g.layer, g.kind, g.index))
     victims = []
@@ -158,7 +149,7 @@ def _plan_widthwise(report, target_ratio, floors):
             continue
         slot[g.kind] -= 1
         victims.append(g)
-        removed += size_of[g.kind]
+        removed += group_param_count(shape, g.kind)
     if removed < budget:
         raise InfeasiblePlanError(
             f"widthwise target {target_ratio:.2f} unreachable under floors "
@@ -199,7 +190,7 @@ def _execute_layerwise(model, prune_plan):
         raise PlanModelMismatchError("plan victim layer index out of range")
     shape = shape_of(model)
     log = [{"victim": f"decoder-layer-{i}",
-            "params_removed": _layer_params(shape, i),
+            "params_removed": layer_param_count(shape, shape.layers[i]),
             "detail": {"n_heads": model.layers[i].n_heads,
                        "d_ffn": model.layers[i].d_ffn}}
            for i in sorted(victims)]
@@ -209,7 +200,7 @@ def _execute_layerwise(model, prune_plan):
 
 def _execute_widthwise(model, prune_plan):
     hd = model.config.head_dim
-    d = model.config.d_model
+    shape = shape_of(model)
     log = []
     by_layer_heads = {}
     by_layer_chans = {}
@@ -219,7 +210,7 @@ def _execute_widthwise(model, prune_plan):
         else:
             by_layer_chans.setdefault(g.layer, []).append(g.index)
         log.append({"victim": g.gid,
-                    "params_removed": 4 * hd * d if g.kind == "attention-head" else 2 * d,
+                    "params_removed": group_param_count(shape, g.kind),
                     "detail": {s.param: [s.axis, s.start, s.stop] for s in g.slices}})
 
     for i, layer in enumerate(model.layers):

@@ -148,6 +148,16 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
+    @property
+    def op(self):
+        """Name of the operation that made this node ("leaf" for inputs)."""
+        return self._op
+
+    @property
+    def parents(self):
+        """Operands this node was computed from; empty for leaves and off-tape nodes."""
+        return self._parents
+
     def item(self):
         if self.data.size != 1:
             raise GraphError(f"item() on non-scalar tensor of shape {self.data.shape}")
@@ -606,8 +616,12 @@ def l2_norm(x):
     return Tensor._from_op(out_data, (x,), bwd, "l2_norm")
 
 
-def backward(loss):
-    """Populate .grad of every requires_grad leaf reachable from a scalar loss."""
+def backward(loss, retain=()):
+    """Populate .grad of every requires_grad leaf reachable from a scalar loss.
+
+    retain: non-leaf tensors whose gradient is kept in their .grad as well,
+    like PyTorch's retain_grad; one off the loss's tape keeps .grad None.
+    """
     if loss.data.size != 1:
         raise GraphError(f"backward: root must be scalar, got shape {loss.data.shape}")
 
@@ -623,6 +637,7 @@ def backward(loss):
         stack.extend(node._parents)
 
     grads = {loss._id: np.ones_like(loss.data)}
+    kept = {t._id for t in retain}
 
     def push(parent, g):
         cur = grads.get(parent._id)
@@ -633,7 +648,8 @@ def backward(loss):
         g = grads.pop(nid, None)
         if g is None:
             continue
+        if node._backward is None or nid in kept:
+            if node.requires_grad:
+                node.grad = g if node.grad is None else node.grad + g
         if node._backward is not None:
             node._backward(g, push)
-        elif node.requires_grad:
-            node.grad = g if node.grad is None else node.grad + g

@@ -178,7 +178,11 @@ def per_slice_taylor_oracle(model, groups, calib):
 def test_taylor_matches_per_slice_loop_oracle(rng):
     model = M.init(ModelConfig(), seed=6)
     model.head_w.data[...] = rng.standard_normal(model.head_w.data.shape) * 0.1
-    calib = calib_items(n=4, seed=5)
+    calib = calib_items(n=28, seed=5)
+    # both layouts, several chunks, and chunks of different sizes
+    chunks = M.layout_buckets(calib, size=I.TAYLOR_CHUNK_SIZE)
+    assert len({len(it.x_p) for it in calib}) == 2
+    assert len(chunks) >= 4 and len({len(c) for c in chunks}) >= 2
     groups = I.build_dependency_groups(model)
     I.taylor_group_importance(model, groups, calib)
     np.testing.assert_allclose([g.importance for g in groups],
@@ -191,6 +195,38 @@ def test_taylor_matches_per_slice_loop_oracle(rng):
     I.taylor_group_importance(model, subset, calib)
     np.testing.assert_allclose([g.importance for g in subset],
                                per_slice_taylor_oracle(model, subset, calib), rtol=1e-5)
+
+
+def test_taylor_rejects_grouped_matrix_behind_lora():
+    from prunekit import recovery as R
+
+    model = M.init(ModelConfig(n_layers=1), seed=0)
+    R.attach_lora(model)
+    groups = I.build_dependency_groups(model)
+    with pytest.raises(T.GraphError, match="wq"):
+        I.taylor_group_importance(model, groups, calib_items(n=2))
+
+
+def test_scale_sensitivity_matches_per_item_loop(rng):
+    with T.precision("float64"):
+        model = M.init(ModelConfig(), seed=9)
+        model.head_w.data[...] = rng.standard_normal(model.head_w.data.shape) * 0.1
+        calib = calib_items(n=40, seed=4)
+        assert len({len(it.x_p) for it in calib}) == 2
+        by_name = dict(model.named_parameters())
+        groups = I.build_dependency_groups(model)
+        picked = [groups[0], groups[-1]]
+        want = np.zeros(len(picked))
+        for item in calib:
+            for _, p in model.named_parameters():
+                p.grad = None
+            T.backward(M.response_loss(M.forward(model, item, capture=None), item))
+            for k, group in enumerate(picked):
+                want[k] += sum(float((sl.take(by_name[sl.param].grad)
+                                      * sl.take(by_name[sl.param].data)).sum())
+                               for sl in group.slices)
+        got = [I.group_scale_sensitivity(model, g, calib) for g in picked]
+    np.testing.assert_allclose(got, want / len(calib), rtol=1e-9)
 
 
 def lookup_trained_tiny_model():

@@ -239,6 +239,11 @@ def test_layout_buckets_group_by_layout_and_cap_size():
         assert len({(len(pool[i].x_p), len(pool[i].x_r)) for i in b}) == 1
     assert max(len(b) for b in buckets) == M.BUCKET_SIZE
 
+    small = M.layout_buckets(pool, size=8)
+    assert max(len(b) for b in small) == 8
+    # each cap-32 bucket is the concatenation of consecutive cap-8 runs
+    assert [i for b in small for i in b] == [i for b in buckets for i in b]
+
 
 def test_batched_forward_matches_per_item_forwards(rng):
     cfg = ModelConfig()

@@ -162,6 +162,30 @@ def test_backward_rejects_nonscalar_root():
         T.backward(T.mul(w, w))
 
 
+def test_retained_nonleaf_grad_equals_leaf_grad(rng):
+    x = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
+    w1 = Tensor(rng.standard_normal((6, 4)), requires_grad=True)
+    w2 = Tensor(rng.standard_normal((3, 6)), requires_grad=True)
+    mark = Tensor(rng.standard_normal((5, 3)))
+
+    def tail(h):  # h fans out to two consumers, so its gradient accumulates
+        out = T.linear(T.gelu(h), w2)
+        return T.add(T.sum_all(T.mul(out, mark)), T.sum_all(T.mul(h, h)))
+
+    h = T.linear(x, w1)
+    off_tape = Tensor(np.ones(2))
+    T.backward(tail(h), retain=[h, off_tape])
+    kept, kept_w2 = h.grad, w2.grad
+    assert kept is not None and off_tape.grad is None
+    assert x.grad is not None and w1.grad is not None
+
+    w2.grad = None
+    leaf = Tensor(h.data, requires_grad=True)
+    T.backward(tail(leaf))
+    np.testing.assert_array_equal(kept, leaf.grad)
+    np.testing.assert_array_equal(kept_w2, w2.grad)
+
+
 def test_backward_two_layer_mlp_matches_finite_differences(rng):
     w1 = rng.standard_normal((6, 4)) * 0.5
     b1 = rng.standard_normal(6) * 0.1
