@@ -37,16 +37,8 @@ class ShapeRecord:
 
 
 def shape_of(model):
-    cfg = model.config
-    return ShapeRecord(
-        d_model=cfg.d_model,
-        vocab_size=cfg.vocab_size,
-        head_dim=cfg.head_dim,
-        layers=tuple(LayerShape(nh, ff) for nh, ff in model.layer_shapes()),
-        n_visual_tokens=cfg.n_visual_tokens,
-        d_vision=cfg.d_vision,
-        d_descriptor=cfg.d_descriptor,
-    )
+    return replace(shape_of_config(model.config),
+                   layers=tuple(LayerShape(nh, ff) for nh, ff in model.layer_shapes()))
 
 
 def shape_of_config(config):

@@ -135,20 +135,25 @@ def _calibration(args, train):
     return D.draw_calibration(train, n=size, seed=child_seed(args.seed, 1))
 
 
+def _importance(model, layerwise, calib):
+    """Block Influence for layer removal, else Taylor-scored dependency groups."""
+    if layerwise:
+        return I.block_influence(model, calib)
+    groups = I.build_dependency_groups(model)
+    I.taylor_group_importance(model, groups, calib)
+    return I.group_report(model, groups)
+
+
 def cmd_inspect(args):
     model, _ = C.load(args.ckpt)
     train, _ = D.load_dataset(args.data)
-    calib = _calibration(args, train)
+    report = _importance(model, args.mode == "bi", _calibration(args, train))
+    records = report.to_records()
     if args.mode == "bi":
-        report = I.block_influence(model, calib)
-        records = report.to_records()
         extra = {"ranking": report.ranking, "tokens_used": report.tokens_used,
                  "zero_norm_rows_skipped": report.zero_norm_rows_skipped}
     else:
-        groups = I.build_dependency_groups(model)
-        I.taylor_group_importance(model, groups, calib)
-        records = I.importance_records(groups)
-        extra = {"n_groups": len(groups)}
+        extra = {"n_groups": len(report.groups)}
     payload = {"mode": args.mode, "records": records, **extra}
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump(payload, f, sort_keys=True, separators=(",", ":"))
@@ -164,12 +169,7 @@ def cmd_prune(args):
     calib = _calibration(args, train)
     ps = prune_settings(_load_cfg(args.config),
                         {"min_heads": args.min_heads, "min_channels": args.min_channels})
-    if args.mode == "layerwise":
-        report = I.block_influence(model, calib)
-    else:
-        groups = I.build_dependency_groups(model)
-        I.taylor_group_importance(model, groups, calib)
-        report = I.group_report(model, groups)
+    report = _importance(model, args.mode == "layerwise", calib)
     floors = Floors(min_heads=ps["min_heads"], min_channels=ps["min_channels"])
     plan = P.plan(args.mode, report, args.ratio, floors)
     result = P.execute(model, plan)

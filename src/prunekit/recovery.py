@@ -1,4 +1,5 @@
-"""Recovery training of a pruned student against its frozen teacher.
+"""Recovery training of a pruned student against its frozen teacher, and
+supervised pre-training of that teacher.
 
 Losses: supervised cross-entropy on response tokens, temperature-softened
 logits distillation (forward or reverse KL, scaled by tau^2), and squared-L2
@@ -6,15 +7,18 @@ matching of final-block hidden states. All three are averaged over the rows
 that predict response tokens. The combined objective is
 alpha*sft + beta*logits + gamma*match.
 
-The recovery optimizer is plain SGD with a fixed step size and optional
-momentum. Teacher pre-training (`train_teacher`) additionally uses warmup,
-cosine decay and gradient clipping; it trains every non-frozen parameter.
+Both entry points run the same SGD loop (`_fit`): seeded shuffled batches,
+one bucketed forward and backward per step, a finite-loss check, optional
+momentum and an optional in-run eval. Recovery (`train`) updates only its
+scope's parameters at a fixed step size without clipping. Teacher
+pre-training (`train_teacher`) is the SFT-only objective over every
+non-frozen parameter, with warmup, cosine decay and grad-norm clipping.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -103,14 +107,7 @@ def sft_loss(student, items):
     """Supervised objective: cross-entropy of the response tokens under the
     student, averaged over items. Items may mix token layouts; each layout
     bucket runs as one batched forward, weighted by its share of the items."""
-    items = M.as_items(items)
-    total = None
-    for idx in M.layout_buckets(items):
-        bucket = [items[i] for i in idx]
-        loss = M.response_loss(M.forward(student, bucket, capture=None), bucket)
-        term = T.scale(loss, len(bucket) / len(items))
-        total = term if total is None else T.add(total, term)
-    return total
+    return _batch_losses(student, M.as_items(items), None, RecoveryConfig())[0]
 
 
 def _check_layouts(a, b):
@@ -265,7 +262,7 @@ def subsample(pool, fraction, seed):
     return [pool[i] for i in idx]
 
 
-def _trainable_params(student, config, lora_adapters):
+def _trainable_params(student, lora_adapters):
     names = set(M.param_partition(student)["projector"])
     chosen = [(n, p) for n, p in student.named_parameters() if n in names]
     for ad in lora_adapters:
@@ -320,6 +317,54 @@ def _backward_step(student, batch, targets, config, step):
     return (*values, total_val)
 
 
+def _fit(model, params, data, run, lr_at, losses, cache=None, clip=None,
+         eval_fn=None, eval_every=0):
+    """The SGD loop of both entry points; updates `params`, returns a
+    LossBreakdown. `run` gives steps, batch_size, momentum and seed; `losses`
+    the loss weights; cache[i], if given, the teacher outputs of data[i].
+    Batches are drawn from a seeded permutation of `data`, redrawn when
+    exhausted. Other parameters of `model` are frozen for the run, so no tape
+    is built for them. With `clip`, gradients are scaled to a global norm of
+    at most `clip`."""
+    opt = Sgd(params, lr=0.0, momentum=run.momentum)
+    trainable_ids = {id(p) for _, p in params}
+    frozen = [p for _, p in model.named_parameters()
+              if p.requires_grad and id(p) not in trainable_ids]
+    for p in frozen:
+        p.requires_grad = False
+    rng = np.random.default_rng(run.seed)
+    order = rng.permutation(len(data))
+    pos = 0
+    history = LossBreakdown()
+    try:
+        for step in range(run.steps):
+            if pos + run.batch_size > len(order):
+                order = rng.permutation(len(data))
+                pos = 0
+            idx = order[pos:pos + run.batch_size]
+            pos += run.batch_size
+            targets = None if cache is None else [cache[i] for i in idx]
+
+            opt.lr = lr_at(step)
+            opt.zero_grad()
+            terms = _backward_step(model, [data[i] for i in idx], targets, losses, step)
+            grad_scale = 1.0
+            if clip is not None:
+                gn = math.sqrt(sum(float((p.grad ** 2).sum())
+                                   for _, p in params if p.grad is not None))
+                grad_scale = min(1.0, clip / gn) if gn > 0 else 1.0
+            opt.step(grad_scale)
+
+            metric = None
+            if eval_fn is not None and eval_every and step % eval_every == 0:
+                metric = float(eval_fn(model))
+            history.record(step, *terms, metric)
+    finally:
+        for p in frozen:
+            p.requires_grad = True
+    return history
+
+
 def train(student, teacher, pool, config, eval_fn=None):
     """Run recovery training; mutates the student, returns a LossBreakdown.
 
@@ -350,43 +395,9 @@ def train(student, teacher, pool, config, eval_fn=None):
     adapters = []
     if config.scope == "joint":
         adapters = attach_lora(student, config.lora, seed=config.seed)
-    params = _trainable_params(student, config, adapters)
-    opt = Sgd(params, lr=config.lr, momentum=config.momentum)
-
-    # Freeze out-of-scope tensors for the run so no tape is built for them.
-    trainable_ids = {id(p) for _, p in params}
-    frozen = []
-    for _, p in student.named_parameters():
-        if id(p) not in trainable_ids and p.requires_grad:
-            p.requires_grad = False
-            frozen.append(p)
-
-    rng = np.random.default_rng(config.seed)
-    order = rng.permutation(len(data))
-    pos = 0
-    history = LossBreakdown()
-    try:
-        for step in range(config.steps):
-            if pos + config.batch_size > len(order):
-                order = rng.permutation(len(data))
-                pos = 0
-            idx = order[pos:pos + config.batch_size]
-            pos += config.batch_size
-            batch = [data[i] for i in idx]
-            targets = None if cache is None else [cache[i] for i in idx]
-
-            opt.zero_grad()
-            l_sft, l_logits, l_match, total_val = _backward_step(student, batch, targets,
-                                                                 config, step)
-            opt.step()
-
-            metric = None
-            if eval_fn is not None and config.eval_every and step % config.eval_every == 0:
-                metric = float(eval_fn(student))
-            history.record(step, l_sft, l_logits, l_match, total_val, metric)
-    finally:
-        for p in frozen:
-            p.requires_grad = True
+    params = _trainable_params(student, adapters)
+    history = _fit(student, params, data, config, lambda step: config.lr, losses=config,
+                   cache=cache, eval_fn=eval_fn, eval_every=config.eval_every)
     if adapters:
         merge_lora(student)
     return history
@@ -419,30 +430,6 @@ def train_teacher(model, pool, config=TeacherConfig(), eval_fn=None, eval_every=
     if not pool:
         raise ParameterError("train_teacher: empty data pool")
     params = [(n, p) for n, p in model.named_parameters() if p.requires_grad]
-    opt = Sgd(params, lr=0.0, momentum=config.momentum)
-    rng = np.random.default_rng(config.seed)
-    order = rng.permutation(len(pool))
-    pos = 0
-    history = LossBreakdown()
-    for step in range(config.steps):
-        opt.lr = _cosine_lr(step, config)
-        if pos + config.batch_size > len(order):
-            order = rng.permutation(len(pool))
-            pos = 0
-        idx = order[pos:pos + config.batch_size]
-        pos += config.batch_size
-        opt.zero_grad()
-        total = sft_loss(model, [pool[i] for i in idx])
-        total_val = total.item()
-        if not math.isfinite(total_val):
-            raise TrainingDivergedError(f"non-finite loss at step {step}")
-        T.backward(total)
-        del total  # free this step's tape before the next step builds one
-        gn = math.sqrt(sum(float((p.grad ** 2).sum())
-                           for _, p in params if p.grad is not None))
-        opt.step(grad_scale=min(1.0, config.clip / gn) if gn > 0 else 1.0)
-        metric = None
-        if eval_fn is not None and eval_every and step % eval_every == 0:
-            metric = float(eval_fn(model))
-        history.record(step, total_val, 0.0, 0.0, total_val, metric)
-    return history
+    return _fit(model, params, pool, config, lambda step: _cosine_lr(step, config),
+                losses=RecoveryConfig(), clip=config.clip, eval_fn=eval_fn,
+                eval_every=eval_every)

@@ -26,9 +26,6 @@ __all__ = [
     "precision",
     "default_dtype",
     "no_grad",
-    "grad_enabled",
-    "tensor",
-    "zeros",
     "add",
     "sub",
     "mul",
@@ -102,10 +99,6 @@ def no_grad():
         _GRAD_ENABLED = saved
 
 
-def grad_enabled():
-    return _GRAD_ENABLED
-
-
 class Tensor:
     """A node of the tape: value array plus optional backward record."""
 
@@ -174,14 +167,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op}, requires_grad={self.requires_grad})"
-
-
-def tensor(data, requires_grad=False):
-    return Tensor(data, requires_grad=requires_grad)
-
-
-def zeros(shape, requires_grad=False):
-    return Tensor(np.zeros(shape, dtype=_DTYPE), requires_grad=requires_grad)
 
 
 def _check_broadcast(a, b, op):

@@ -226,12 +226,18 @@ def test_projector_only_training_leaves_decoder_bit_identical():
             assert p.data.tobytes() == before[name].tobytes(), name
 
 
+def requires_grad_flags(model):
+    return {n: p.requires_grad for n, p in model.named_parameters()}
+
+
 def test_joint_training_touches_only_projector_and_lora_targets():
     teacher, student, pool = small_recovery_setup()
     before = {n: p.data.copy() for n, p in student.named_parameters()}
+    flags = requires_grad_flags(student)
     cfg = RecoveryConfig(alpha=1.0, beta=1.0, gamma=1.0, kd_direction="rkl",
                          scope="joint", lr=0.02, steps=15, batch_size=4, seed=1)
     R.train(student, teacher, pool, cfg)
+    assert requires_grad_flags(student) == flags  # out-of-scope freeze undone
     part = M.param_partition(student)
     proj = set(part["projector"])
     for name, p in student.named_parameters():
@@ -297,14 +303,58 @@ def test_subsample_exact_count_and_determinism():
     assert R.subsample(pool, 1.0, seed=0) == pool
 
 
-def test_train_divergence_aborts_with_step_index():
+def run_entry(entry, model, pool, steps, eval_fn=None, eval_every=0):
+    """A short SFT run through recovery.train or recovery.train_teacher."""
+    if entry == "train":
+        cfg = RecoveryConfig(alpha=1.0, scope="projector", lr=0.01, steps=steps,
+                             batch_size=4, seed=1, eval_every=eval_every)
+        return R.train(model, None, pool, cfg, eval_fn=eval_fn)
+    cfg = R.TeacherConfig(steps=steps, batch_size=4, warmup=2, seed=1)
+    return R.train_teacher(model, pool, cfg, eval_fn=eval_fn, eval_every=eval_every)
+
+
+@pytest.mark.parametrize("entry", ["train", "train_teacher"])
+def test_train_divergence_aborts_with_step_index(entry):
     teacher, student, pool = small_recovery_setup()
     student.proj_w1.data[0, 0] = np.nan
-    cfg = RecoveryConfig(alpha=1.0, scope="projector", lr=0.01, steps=50,
-                         batch_size=4, seed=1)
+    flags = requires_grad_flags(student)
     with pytest.raises(TrainingDivergedError) as exc:
-        R.train(student, teacher, pool, cfg)
+        run_entry(entry, student, pool, steps=50)
     assert "step 0" in str(exc.value)
+    assert "sft=nan logits=0.0 match=0.0" in str(exc.value)
+    assert requires_grad_flags(student) == flags
+
+
+@pytest.mark.parametrize("entry", ["train", "train_teacher"])
+def test_eval_metric_recorded_exactly_every_eval_every_steps(entry):
+    model = M.init(ModelConfig(), seed=2)
+    train, _ = D.generate_dataset(n=30, seed=5)
+    calls = []
+
+    def eval_fn(m):
+        assert m is model
+        calls.append(m)
+        return len(calls)
+
+    history = run_entry(entry, model, train[:12], steps=8, eval_fn=eval_fn, eval_every=3)
+    assert [s["eval_metric"] for s in history.steps] == \
+        [1.0, None, None, 2.0, None, None, 3.0, None]
+    assert [s["step"] for s in history.steps] == list(range(8))
+
+
+def test_teacher_clipped_step_moves_parameters_by_lr_times_clip():
+    with T.precision("float64"):
+        model = M.init(ModelConfig(), seed=3)
+        train, _ = D.generate_dataset(n=30, seed=6)
+        before = {n: p.data.copy() for n, p in model.named_parameters()}
+        # one step with warmup 0 runs at peak_lr; the first momentum step is
+        # the plain gradient step
+        cfg = R.TeacherConfig(steps=1, batch_size=8, peak_lr=0.1, warmup=0,
+                              clip=1e-3, seed=0)
+        R.train_teacher(model, train, cfg)
+        moved = math.sqrt(sum(float(((p.data - before[n]) ** 2).sum())
+                              for n, p in model.named_parameters()))
+    assert abs(moved - cfg.peak_lr * cfg.clip) <= 1e-9 * cfg.peak_lr * cfg.clip
 
 
 def test_config_validation():
