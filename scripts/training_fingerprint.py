@@ -1,24 +1,34 @@
-"""Fixed-seed fingerprint of prunekit's training loops.
+"""Fixed-seed fingerprint of prunekit's training loops and prune surgery.
 
 Runs a short teacher pre-training and four recovery runs that cover both
 scopes, both KD directions, hidden-state matching on two layers, a 5% data
 subsample, zero momentum and in-run evaluation. Prints one JSON line per run
 with the final `Model.checksum()` and every `LossBreakdown` record (floats at
-full precision), then the SHA-256 of those lines. Two source trees train
-bit-identically when their outputs are equal:
+full precision). Then it prunes the teacher layerwise at 0.3 and widthwise at
+0.2 and 0.55, and prunes the widthwise-0.2 model widthwise again, and prints
+one line per pruned model as surgery left it in memory: its checksum and the
+SHA-256 of its checkpoint bytes and of its logits on the evaluation items,
+run per layout bucket and then one item at a time. The checksum and the
+checkpoint see only values; the one-item logits also see the memory layout
+of the pruned weights. Last comes the SHA-256 of all lines.
+Two source trees train and prune bit-identically when their outputs are equal:
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 scripts/training_fingerprint.py
 """
 
 import hashlib
 import json
+import os
+import tempfile
 
+from prunekit import checkpoint as C
 from prunekit import data as D
 from prunekit import evaluation as E
 from prunekit import importance as I
 from prunekit import model as M
 from prunekit import pruning as P
 from prunekit import recovery as R
+from prunekit import tensor as T
 
 RECOVERY_RUNS = {
     "projector-kl-match2": dict(alpha=1.0, beta=1.0, gamma=1.0, kd_direction="kl",
@@ -36,6 +46,25 @@ def line(name, model, history):
                       sort_keys=True)
 
 
+def sha256(blob):
+    return hashlib.sha256(blob).hexdigest()
+
+
+def pruned_line(name, model, items):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.ckpt")
+        C.save(model, path)
+        with open(path, "rb") as f:
+            ckpt = f.read()
+    batches = [[items[i] for i in idx] for idx in M.layout_buckets(items)]
+    with T.no_grad():
+        logits = b"".join(M.forward(model, batch, capture=None).logits.data.tobytes()
+                          for batch in batches + [[it] for it in items])
+    return json.dumps({"run": name, "checksum": model.checksum(), "ckpt_sha256": sha256(ckpt),
+                       "logits_sha256": sha256(logits), "layer_shapes": model.layer_shapes()},
+                      sort_keys=True)
+
+
 def main():
     train, evals = D.generate_dataset(n=120, seed=4)
     evals = evals[:16]
@@ -49,16 +78,30 @@ def main():
                               eval_fn=eval_fn, eval_every=10)
     lines.append(line("teacher", teacher, history))
 
+    calib = D.draw_calibration(train, n=4, seed=0)
     pruned = teacher.copy()
     groups = I.build_dependency_groups(pruned)
-    I.taylor_group_importance(pruned, groups, D.draw_calibration(train, n=4, seed=0))
-    P.execute(pruned, P.plan("widthwise", I.group_report(pruned, groups), 0.2))
+    I.taylor_group_importance(pruned, groups, calib)
+    width_report = I.group_report(pruned, groups)
+    P.execute(pruned, P.plan("widthwise", width_report, 0.2))
     for seed, (name, overrides) in enumerate(RECOVERY_RUNS.items()):
         student = pruned.copy()
         cfg = R.RecoveryConfig(**{"lr": 0.02, "steps": 25, "batch_size": 4, "seed": seed,
                                   **overrides})
         history = R.train(student, teacher, train, cfg, eval_fn=eval_fn)
         lines.append(line(name, student, history))
+
+    lines.append(pruned_line("widthwise-0.2", pruned, evals))
+    deeper = teacher.copy()
+    P.execute(deeper, P.plan("widthwise", width_report, 0.55))
+    lines.append(pruned_line("widthwise-0.55", deeper, evals))
+    shallower = teacher.copy()
+    P.execute(shallower, P.plan("layerwise", I.block_influence(shallower, calib), 0.3))
+    lines.append(pruned_line("layerwise-0.3", shallower, evals))
+    groups = I.build_dependency_groups(pruned)
+    I.taylor_group_importance(pruned, groups, calib)
+    P.execute(pruned, P.plan("widthwise", I.group_report(pruned, groups), 0.2))
+    lines.append(pruned_line("widthwise-0.2-then-0.2", pruned, evals))
 
     for text in lines:
         print(text)

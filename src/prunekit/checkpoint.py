@@ -18,8 +18,8 @@ import zlib
 
 import numpy as np
 
-from .model import DecoderLayer, Model, ModelConfig
-from .tensor import Tensor
+from .model import ModelConfig, from_arrays
+from .tensor import ParameterError
 
 MAGIC = b"PRUNEKIT_CKPT v1\n"
 
@@ -99,27 +99,8 @@ def load(path):
 
     config = ModelConfig(**manifest["config"])
     layer_shapes = [tuple(s) for s in manifest["layer_shapes"]]
-
-    def take(name, frozen=False):
-        if name not in arrays:
-            raise CheckpointError(f"{path}: missing tensor {name}")
-        return Tensor(arrays.pop(name), requires_grad=not frozen)
-
-    layers = []
-    for i, (n_heads, d_ffn) in enumerate(layer_shapes):
-        layers.append(DecoderLayer(
-            wq=take(f"layers.{i}.attn.wq"), wk=take(f"layers.{i}.attn.wk"),
-            wv=take(f"layers.{i}.attn.wv"), wo=take(f"layers.{i}.attn.wo"),
-            w_up=take(f"layers.{i}.mlp.up"), w_down=take(f"layers.{i}.mlp.down"),
-            attn_gain=take(f"layers.{i}.attn.gain"), mlp_gain=take(f"layers.{i}.mlp.gain"),
-            n_heads=n_heads, d_ffn=d_ffn))
-    model = Model(
-        config,
-        vision_w=take("vision.w", frozen=True),
-        proj_w1=take("projector.w1"), proj_b1=take("projector.b1"),
-        proj_w2=take("projector.w2"), proj_b2=take("projector.b2"),
-        embed=take("embed.w"), layers=layers,
-        final_gain=take("final_norm.g"), head_w=take("head.w"))
-    if arrays:
-        raise CheckpointError(f"{path}: unexpected extra tensors {sorted(arrays)}")
+    try:
+        model = from_arrays(config, layer_shapes, arrays)
+    except ParameterError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
     return model, manifest

@@ -168,7 +168,7 @@ def build_dependency_groups(model):
     return groups
 
 
-def _slice_plan(groups):
+def slice_plan(groups):
     """(param, axis) -> (starts, stops, group indices) over every member slice."""
     plan = {}
     for gi, group in enumerate(groups):
@@ -242,7 +242,7 @@ def taylor_group_importance(model, groups, calib):
     if not calib:
         raise ParameterError("taylor importance: empty calibration set")
     by_name = dict(model.named_parameters())
-    plan = _slice_plan(groups)
+    plan = slice_plan(groups)
     weights = {name: by_name[name] for name, _ in plan}
     sums = {name: np.zeros(w.data.shape) for name, w in weights.items()}
     for idx in M.layout_buckets(calib, size=TAYLOR_CHUNK_SIZE):

@@ -130,35 +130,44 @@ def layout_buckets(items, size=BUCKET_SIZE):
             for lo in range(0, len(idx), size)]
 
 
+# Parameter name -> attribute, in named_parameters order: the model-level
+# parameters before the layers, each layer's under "layers.<i>.", then the
+# model-level parameters after them.
+_INPUT_SLOTS = {"vision.w": "vision_w", "projector.w1": "proj_w1", "projector.b1": "proj_b1",
+                "projector.w2": "proj_w2", "projector.b2": "proj_b2", "embed.w": "embed"}
+_LAYER_SLOTS = {"attn.gain": "attn_gain", "attn.wq": "wq", "attn.wk": "wk", "attn.wv": "wv",
+                "attn.wo": "wo", "mlp.gain": "mlp_gain", "mlp.up": "w_up", "mlp.down": "w_down"}
+_OUTPUT_SLOTS = {"final_norm.g": "final_gain", "head.w": "head_w"}
+# The only parameter no training updates.
+_FROZEN = "vision.w"
+# Scope of each model-level name prefix; "layers.<i>" is "decoder-layer-<i>".
+_SCOPES = {"vision": "vision", "projector": "projector", "embed": "embedding",
+           "final_norm": "final-norm", "head": "head"}
+
+
+def _slots(n_layers):
+    """(name, layer index or None for the model, attribute) of every
+    parameter, in named_parameters order."""
+    out = [(name, None, attr) for name, attr in _INPUT_SLOTS.items()]
+    for i in range(n_layers):
+        out += [(f"layers.{i}.{name}", i, attr) for name, attr in _LAYER_SLOTS.items()]
+    return out + [(name, None, attr) for name, attr in _OUTPUT_SLOTS.items()]
+
+
 class DecoderLayer:
-    def __init__(self, wq, wk, wv, wo, w_up, w_down, attn_gain, mlp_gain, n_heads, d_ffn):
-        self.wq = wq
-        self.wk = wk
-        self.wv = wv
-        self.wo = wo
-        self.w_up = w_up
-        self.w_down = w_down
-        self.attn_gain = attn_gain
-        self.mlp_gain = mlp_gain
+    """One block's weights (set by `from_arrays`) and its live widths."""
+
+    def __init__(self, n_heads, d_ffn):
         self.n_heads = n_heads
         self.d_ffn = d_ffn
 
 
 class Model:
-    """Parameter container; forward lives in `forward` below."""
+    """Parameter container built by `from_arrays`; forward lives in `forward` below."""
 
-    def __init__(self, config, vision_w, proj_w1, proj_b1, proj_w2, proj_b2,
-                 embed, layers, final_gain, head_w):
+    def __init__(self, config, layers):
         self.config = config
-        self.vision_w = vision_w
-        self.proj_w1 = proj_w1
-        self.proj_b1 = proj_b1
-        self.proj_w2 = proj_w2
-        self.proj_b2 = proj_b2
-        self.embed = embed
         self.layers = layers
-        self.final_gain = final_gain
-        self.head_w = head_w
         self.lora = {}
 
     @property
@@ -167,28 +176,8 @@ class Model:
 
     def named_parameters(self):
         """Deterministic (name, Tensor) listing of every parameter."""
-        out = [
-            ("vision.w", self.vision_w),
-            ("projector.w1", self.proj_w1),
-            ("projector.b1", self.proj_b1),
-            ("projector.w2", self.proj_w2),
-            ("projector.b2", self.proj_b2),
-            ("embed.w", self.embed),
-        ]
-        for i, layer in enumerate(self.layers):
-            out.extend([
-                (f"layers.{i}.attn.gain", layer.attn_gain),
-                (f"layers.{i}.attn.wq", layer.wq),
-                (f"layers.{i}.attn.wk", layer.wk),
-                (f"layers.{i}.attn.wv", layer.wv),
-                (f"layers.{i}.attn.wo", layer.wo),
-                (f"layers.{i}.mlp.gain", layer.mlp_gain),
-                (f"layers.{i}.mlp.up", layer.w_up),
-                (f"layers.{i}.mlp.down", layer.w_down),
-            ])
-        out.append(("final_norm.g", self.final_gain))
-        out.append(("head.w", self.head_w))
-        return out
+        return [(name, getattr(self if i is None else self.layers[i], attr))
+                for name, i, attr in _slots(self.n_layers)]
 
     def get_parameter(self, name):
         for n, p in self.named_parameters():
@@ -201,21 +190,8 @@ class Model:
 
     def copy(self):
         """Independent deep copy (fresh leaf tensors, no shared arrays)."""
-        def dup(t, frozen=False):
-            out = Tensor(t.data.copy(), requires_grad=not frozen)
-            return out
-
-        layers = [
-            DecoderLayer(
-                dup(l.wq), dup(l.wk), dup(l.wv), dup(l.wo),
-                dup(l.w_up), dup(l.w_down), dup(l.attn_gain), dup(l.mlp_gain),
-                l.n_heads, l.d_ffn)
-            for l in self.layers
-        ]
-        return Model(
-            self.config, dup(self.vision_w, frozen=True),
-            dup(self.proj_w1), dup(self.proj_b1), dup(self.proj_w2), dup(self.proj_b2),
-            dup(self.embed), layers, dup(self.final_gain), dup(self.head_w))
+        return from_arrays(self.config, self.layer_shapes(),
+                           {name: p.data.copy() for name, p in self.named_parameters()})
 
     def checksum(self):
         """CRC32 over all parameter bytes, in named_parameters order."""
@@ -225,47 +201,67 @@ class Model:
         return c
 
 
+def from_arrays(config, layer_shapes, arrays):
+    """Build a Model from `arrays`, a map from every parameter name to its values.
+
+    layer_shapes gives each block's (n_heads, d_ffn). Each array becomes a
+    fresh leaf tensor that owns it; every parameter but the vision stub is
+    trainable. Raises ParameterError naming a missing tensor or any extra ones.
+    """
+    model = Model(config, [DecoderLayer(n_heads, d_ffn) for n_heads, d_ffn in layer_shapes])
+    slots = _slots(model.n_layers)
+    for name, i, attr in slots:
+        if name not in arrays:
+            raise ParameterError(f"missing tensor {name}")
+        setattr(model if i is None else model.layers[i], attr,
+                Tensor(arrays[name], requires_grad=name != _FROZEN))
+    extra = set(arrays) - {name for name, _, _ in slots}
+    if extra:
+        raise ParameterError(f"unexpected extra tensors {sorted(extra)}")
+    return model
+
+
 def init(config, seed):
     """Deterministic initialization: N(0, 0.02^2) weights, unit gains, zero biases.
 
     The output head starts at zero (logits exactly uniform until the first
     update) and the frozen vision stub at scale 0.5 so unit-norm descriptors
-    produce O(1) features.
+    produce O(1) features. Weights are drawn in named_parameters order.
     """
     rng = np.random.default_rng(seed)
     d = config.d_model
     dv = config.d_vision
-    nv = config.n_visual_tokens
+    width = config.n_heads * config.head_dim
 
-    def normal(shape, scl=0.02, frozen=False):
-        arr = rng.standard_normal(shape) * scl
-        return Tensor(arr, requires_grad=not frozen)
+    def normal(shape, scl=0.02):
+        return rng.standard_normal(shape) * scl
 
-    def ones(n):
-        return Tensor(np.ones(n), requires_grad=True)
+    arrays = {
+        "vision.w": normal((config.n_visual_tokens * dv, config.d_descriptor), scl=0.5),
+        "projector.w1": normal((d, dv)),
+        "projector.b1": np.zeros(d),
+        "projector.w2": normal((d, d)),
+        "projector.b2": np.zeros(d),
+        "embed.w": normal((config.vocab_size, d)),
+    }
+    for i in range(config.n_layers):
+        arrays.update({
+            f"layers.{i}.attn.gain": np.ones(d),
+            f"layers.{i}.attn.wq": normal((width, d)),
+            f"layers.{i}.attn.wk": normal((width, d)),
+            f"layers.{i}.attn.wv": normal((width, d)),
+            f"layers.{i}.attn.wo": normal((d, width)),
+            f"layers.{i}.mlp.gain": np.ones(d),
+            f"layers.{i}.mlp.up": normal((config.d_ffn, d)),
+            f"layers.{i}.mlp.down": normal((d, config.d_ffn)),
+        })
+    arrays["final_norm.g"] = np.ones(d)
+    arrays["head.w"] = np.zeros((config.vocab_size, d))
+    return from_arrays(config, [(config.n_heads, config.d_ffn)] * config.n_layers, arrays)
 
-    def zeros(shape):
-        return Tensor(np.zeros(shape), requires_grad=True)
 
-    vision_w = normal((nv * dv, config.d_descriptor), scl=0.5, frozen=True)
-    proj_w1 = normal((d, dv))
-    proj_b1 = zeros(d)
-    proj_w2 = normal((d, d))
-    proj_b2 = zeros(d)
-    embed = normal((config.vocab_size, d))
-    layers = []
-    for _ in range(config.n_layers):
-        width = config.n_heads * config.head_dim
-        layers.append(DecoderLayer(
-            wq=normal((width, d)), wk=normal((width, d)), wv=normal((width, d)),
-            wo=normal((d, width)),
-            w_up=normal((config.d_ffn, d)), w_down=normal((d, config.d_ffn)),
-            attn_gain=ones(d), mlp_gain=ones(d),
-            n_heads=config.n_heads, d_ffn=config.d_ffn))
-    final_gain = ones(d)
-    head_w = zeros((config.vocab_size, d))
-    return Model(config, vision_w, proj_w1, proj_b1, proj_w2, proj_b2,
-                 embed, layers, final_gain, head_w)
+# The projections `_block_forward` adds an attached LoRA adapter's delta to.
+LORA_TARGETS = ("wq", "wv")
 
 
 def _effective_weight(model, name, param):
@@ -362,17 +358,10 @@ def response_loss(trace, items):
 
 def param_partition(model):
     """Map scope -> parameter names; every parameter in exactly one scope."""
-    part = {
-        "vision": ["vision.w"],
-        "projector": ["projector.w1", "projector.b1", "projector.w2", "projector.b2"],
-        "embedding": ["embed.w"],
-    }
-    for i in range(model.n_layers):
-        part[f"decoder-layer-{i}"] = [
-            f"layers.{i}.attn.gain", f"layers.{i}.attn.wq", f"layers.{i}.attn.wk",
-            f"layers.{i}.attn.wv", f"layers.{i}.attn.wo",
-            f"layers.{i}.mlp.gain", f"layers.{i}.mlp.up", f"layers.{i}.mlp.down",
-        ]
-    part["final-norm"] = ["final_norm.g"]
-    part["head"] = ["head.w"]
+    part = {}
+    for name, _ in model.named_parameters():
+        prefix, rest = name.split(".", 1)
+        scope = (f"decoder-layer-{rest.split('.', 1)[0]}" if prefix == "layers"
+                 else _SCOPES[prefix])
+        part.setdefault(scope, []).append(name)
     return part

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accounting import decoder_param_count, group_param_count, layer_param_count, shape_of
-from .importance import BlockInfluenceReport, GroupImportanceReport
-from .tensor import ParameterError, Tensor
+from .importance import BlockInfluenceReport, GroupImportanceReport, slice_plan
+from .tensor import ParameterError
 
 
 class InfeasiblePlanError(ValueError):
@@ -80,29 +80,32 @@ def plan(mode, report, target_ratio, floors=Floors()):
 
     A zero target yields an empty (no-op) plan; the CLI rejects 0 upfront.
     """
-    if target_ratio == 0:
-        shape = report.shape
-        return PrunePlan(mode=mode, target_ratio=0.0, victims=[],
-                         predicted_params_removed=0,
-                         decoder_params=decoder_param_count(shape),
-                         fingerprint=tuple((l.n_heads, l.d_ffn) for l in shape.layers))
-    _check_ratio(target_ratio)
-    if mode == "layerwise":
-        if not isinstance(report, BlockInfluenceReport):
-            raise ParameterError("layerwise planning needs a BlockInfluenceReport")
-        return _plan_layerwise(report, target_ratio)
-    if mode == "widthwise":
-        if not isinstance(report, GroupImportanceReport):
-            raise ParameterError("widthwise planning needs a GroupImportanceReport")
-        return _plan_widthwise(report, target_ratio, floors)
-    raise ParameterError(f"unknown prune mode {mode!r}")
-
-
-def _plan_layerwise(report, target_ratio):
     shape = report.shape
-    sizes = [layer_param_count(shape, l) for l in shape.layers]
-    total = sum(sizes)
+    total = decoder_param_count(shape)
+    if target_ratio == 0:
+        target_ratio, victims, removed = 0.0, [], 0
+    else:
+        _check_ratio(target_ratio)
+        if mode == "layerwise":
+            if not isinstance(report, BlockInfluenceReport):
+                raise ParameterError("layerwise planning needs a BlockInfluenceReport")
+            victims, removed = _plan_layerwise(report, target_ratio, total)
+        elif mode == "widthwise":
+            if not isinstance(report, GroupImportanceReport):
+                raise ParameterError("widthwise planning needs a GroupImportanceReport")
+            victims, removed = _plan_widthwise(report, target_ratio, total, floors)
+        else:
+            raise ParameterError(f"unknown prune mode {mode!r}")
+    return PrunePlan(mode=mode, target_ratio=target_ratio, victims=victims,
+                     predicted_params_removed=removed, decoder_params=total,
+                     fingerprint=tuple((l.n_heads, l.d_ffn) for l in shape.layers))
+
+
+def _plan_layerwise(report, target_ratio, total):
+    """(victim layer indices, parameters removed)."""
+    shape = report.shape
     budget = target_ratio * total
+    sizes = [layer_param_count(shape, l) for l in shape.layers]
     removed = 0
     victims = []
     last = shape.n_layers - 1
@@ -117,18 +120,15 @@ def _plan_layerwise(report, target_ratio):
         raise InfeasiblePlanError(
             f"layerwise target {target_ratio:.2f} unreachable (final layer protected); "
             f"max achievable ratio {removed / total:.4f}")
-    return PrunePlan(mode="layerwise", target_ratio=target_ratio,
-                     victims=sorted(victims), predicted_params_removed=removed,
-                     decoder_params=total,
-                     fingerprint=tuple((l.n_heads, l.d_ffn) for l in shape.layers))
+    return sorted(victims), removed
 
 
-def _plan_widthwise(report, target_ratio, floors):
+def _plan_widthwise(report, target_ratio, total, floors):
+    """(victim groups, parameters removed)."""
     groups = report.groups
     if any(g.importance is None for g in groups):
         raise ParameterError("widthwise planning needs importances filled in")
     shape = report.shape
-    total = decoder_param_count(shape)
     budget = target_ratio * total
     min_ch = floors.resolved_channels(shape.head_dim)
     if floors.min_heads < 1 or min_ch < 1:
@@ -156,9 +156,7 @@ def _plan_widthwise(report, target_ratio, floors):
             f"(min {floors.min_heads} heads, {min_ch} channels per layer); "
             f"max achievable ratio {removed / total:.4f}")
     victims.sort(key=lambda g: (g.layer, g.kind, g.index))
-    return PrunePlan(mode="widthwise", target_ratio=target_ratio, victims=victims,
-                     predicted_params_removed=removed, decoder_params=total,
-                     fingerprint=tuple((l.n_heads, l.d_ffn) for l in shape.layers))
+    return victims, removed
 
 
 def execute(model, prune_plan):
@@ -199,34 +197,24 @@ def _execute_layerwise(model, prune_plan):
 
 
 def _execute_widthwise(model, prune_plan):
-    hd = model.config.head_dim
+    """Delete every victim's own slices, per (matrix, axis) in one go."""
     shape = shape_of(model)
-    log = []
-    by_layer_heads = {}
-    by_layer_chans = {}
+    log = [{"victim": g.gid,
+            "params_removed": group_param_count(shape, g.kind),
+            "detail": {s.param: [s.axis, s.start, s.stop] for s in g.slices}}
+           for g in prune_plan.victims]
+    by_name = dict(model.named_parameters())
+    for (name, axis), (starts, stops, _) in slice_plan(prune_plan.victims).items():
+        p = by_name[name]
+        doomed = np.concatenate([np.arange(a, b) for a, b in zip(starts, stops)])
+        # np.delete along axis 1 can return an F-ordered array; matmul rounds
+        # differently on it than on the C-ordered copy a checkpoint reloads
+        p.data = np.ascontiguousarray(np.delete(p.data, doomed, axis=axis))
+        p.grad = None
     for g in prune_plan.victims:
+        layer = model.layers[g.layer]
         if g.kind == "attention-head":
-            by_layer_heads.setdefault(g.layer, []).append(g.index)
+            layer.n_heads -= 1
         else:
-            by_layer_chans.setdefault(g.layer, []).append(g.index)
-        log.append({"victim": g.gid,
-                    "params_removed": group_param_count(shape, g.kind),
-                    "detail": {s.param: [s.axis, s.start, s.stop] for s in g.slices}})
-
-    for i, layer in enumerate(model.layers):
-        heads = set(by_layer_heads.get(i, []))
-        if heads:
-            kept = [h for h in range(layer.n_heads) if h not in heads]
-            rows = np.concatenate([np.arange(h * hd, (h + 1) * hd) for h in kept])
-            layer.wq = Tensor(layer.wq.data[rows].copy(), requires_grad=True)
-            layer.wk = Tensor(layer.wk.data[rows].copy(), requires_grad=True)
-            layer.wv = Tensor(layer.wv.data[rows].copy(), requires_grad=True)
-            layer.wo = Tensor(layer.wo.data[:, rows].copy(), requires_grad=True)
-            layer.n_heads -= len(heads)
-        chans = set(by_layer_chans.get(i, []))
-        if chans:
-            keep = np.array([c for c in range(layer.d_ffn) if c not in chans], dtype=np.int64)
-            layer.w_up = Tensor(layer.w_up.data[keep].copy(), requires_grad=True)
-            layer.w_down = Tensor(layer.w_down.data[:, keep].copy(), requires_grad=True)
-            layer.d_ffn -= len(chans)
+            layer.d_ffn -= 1
     return log

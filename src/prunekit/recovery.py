@@ -37,6 +37,14 @@ class LoraSettings:
     scaling: float = 16.0
     targets: tuple = ("wq", "wv")  # attention q and v projections
 
+    def __post_init__(self):
+        if self.rank < 1:
+            raise ParameterError("lora rank must be >= 1")
+        if (not set(self.targets) <= set(M.LORA_TARGETS)
+                or len(set(self.targets)) != len(self.targets)):
+            raise ParameterError(f"lora targets must be distinct and among "
+                                 f"{M.LORA_TARGETS}, got {self.targets}")
+
 
 @dataclass(frozen=True)
 class RecoveryConfig:

@@ -156,15 +156,6 @@ class Tensor:
             raise GraphError(f"item() on non-scalar tensor of shape {self.data.shape}")
         return float(self.data.reshape(()))
 
-    def numpy(self):
-        return self.data
-
-    def zero_grad(self):
-        self.grad = None
-
-    def detach(self):
-        return Tensor(self.data.copy())
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op}, requires_grad={self.requires_grad})"
 

@@ -1,5 +1,7 @@
 """Checkpoint round-trip fidelity, corruption detection, pruned-shape rebuild."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -89,3 +91,33 @@ def test_layerwise_pruned_roundtrip(tmp_path):
     loaded, _ = C.load(path)
     assert loaded.n_layers == 3
     assert forward_bytes(loaded, train[:3]) == forward_bytes(model, train[:3])
+
+
+def rewrite_tensor_index(path, edit):
+    """Apply `edit` to the manifest's tensor index, keeping the payload."""
+    manifest, start = C.read_manifest(path)
+    payload = path.read_bytes()[start:]
+    edit(manifest["tensors"])
+    header = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    path.write_bytes(C.MAGIC + f"{len(header)}\n".encode("ascii") + header + payload)
+
+
+def drop_entry(tensors):
+    tensors[:] = [t for t in tensors if t["name"] != "layers.1.mlp.down"]
+
+
+def add_entry(tensors):
+    tensors.append({**tensors[0], "name": "layers.2.attn.wq"})
+
+
+@pytest.mark.parametrize("edit, message", [
+    (drop_entry, "missing tensor layers.1.mlp.down"),
+    (add_entry, "unexpected extra tensors ['layers.2.attn.wq']"),
+], ids=["missing", "extra"])
+def test_load_rejects_a_missing_or_extra_tensor(tmp_path, edit, message):
+    path = tmp_path / "m.ckpt"
+    C.save(M.init(ModelConfig(n_layers=2), seed=0), path)
+    rewrite_tensor_index(path, edit)
+    with pytest.raises(CheckpointError) as exc:
+        C.load(path)
+    assert message in str(exc.value)

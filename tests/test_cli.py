@@ -60,6 +60,23 @@ def test_bad_config_value_is_config_error(workspace, tmp_path):
     assert code == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("target", ["wk", "w_up"])
+def test_lora_target_the_forward_never_adapts_is_config_error(workspace, tmp_path,
+                                                             monkeypatch, target):
+    def train(*args, **kwargs):
+        raise AssertionError("recovery started training")
+
+    monkeypatch.setattr(cli.R, "train", train)
+    cfg = tmp_path / "lora.ini"
+    cfg.write_text(workspace["cfg"].read_text() + f"lora_targets = wq,{target}\n")
+    out = tmp_path / "never.ckpt"
+    code = run(["recover", "--student", str(workspace["teacher"]), "--teacher",
+                str(workspace["teacher"]), "--data", str(workspace["data"]),
+                "--config", str(cfg), "--out", str(out), "--scope", "joint"])
+    assert code == cli.EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_infeasible_plan_exit_code(workspace):
     code = run(["prune", "--ckpt", str(workspace["teacher"]),
                 "--data", str(workspace["data"]), "--mode", "layerwise",

@@ -164,6 +164,22 @@ def test_init_different_seeds_differ():
     assert M.init(cfg, seed=11).checksum() != M.init(cfg, seed=12).checksum()
 
 
+def test_init_draws_weights_in_named_parameters_order():
+    """Independent oracle of the init scheme: one generator, drawn in
+    named_parameters order, skipping the constant gains, biases and head."""
+    model = M.init(ModelConfig(n_layers=2), seed=3)
+    rng = np.random.default_rng(3)
+    for name, p in model.named_parameters():
+        if name.endswith(".gain") or name == "final_norm.g":
+            want = np.ones(p.shape)
+        elif name in ("projector.b1", "projector.b2", "head.w"):
+            want = np.zeros(p.shape)
+        else:
+            want = rng.standard_normal(p.shape) * (0.5 if name == "vision.w" else 0.02)
+        np.testing.assert_array_equal(p.data, want.astype(np.float32))
+        assert p.requires_grad == (name != "vision.w")
+
+
 def test_init_param_count_matches_closed_form():
     cfg = ModelConfig(vocab_size=256, d_model=64, n_layers=4, n_heads=4, head_dim=16,
                       d_ffn=256, d_vision=32, n_visual_tokens=8)

@@ -1,9 +1,17 @@
-"""Prune planning and surgery: masked-equivalence, conservation, nesting, floors."""
+"""Prune planning and surgery: masked-equivalence, conservation, nesting, floors,
+and surgery properties on random feasible victim sets."""
+
+import functools
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prunekit import accounting as A
+from prunekit import checkpoint as C
 from prunekit import data as D
 from prunekit import importance as I
 from prunekit import model as M
@@ -245,3 +253,91 @@ def test_pruned_model_still_forwards_and_matches_residual_width():
     assert trace.logits.shape[1] == model.config.vocab_size
     for h in trace.hidden_states:
         assert h.shape[1] == model.config.d_model
+
+
+# ------------------------------------------------- surgery properties
+
+@functools.lru_cache(maxsize=None)
+def surgery_base(kind):
+    """A random-weight toy model, full or already widthwise-pruned to ragged
+    per-layer widths; callers copy it."""
+    model = M.init(ModelConfig(), seed=21)
+    rng = np.random.default_rng(21)
+    for _, p in model.named_parameters():
+        if p.data.ndim == 2:
+            p.data[...] = rng.standard_normal(p.data.shape) * 0.2
+    if kind == "ragged":
+        victims = floor_respecting_victims(
+            lambda width, most: set(rng.choice(width, size=rng.integers(1, most + 1),
+                                               replace=False).tolist()), model)
+        P.execute(model, plan_removing(model, victims))
+        assert len(set(model.layer_shapes())) == model.n_layers
+    return model
+
+
+def plan_removing(model, victims):
+    """A widthwise plan whose victims are exactly `victims`."""
+    shape = A.shape_of(model)
+    removed = sum(g.param_count(model) for g in victims)
+    total = A.decoder_param_count(shape)
+    return P.PrunePlan(mode="widthwise", target_ratio=removed / total,
+                       victims=sorted(victims, key=lambda g: (g.layer, g.kind, g.index)),
+                       predicted_params_removed=removed, decoder_params=total,
+                       fingerprint=tuple(model.layer_shapes()))
+
+
+def floor_respecting_victims(pick, model):
+    """Victim groups that leave each layer at least one head and head_dim
+    channels, the default floors; pick(width, most) returns the indices to
+    remove from a width, at most `most` of them."""
+    groups = I.build_dependency_groups(model)
+    floors = {"attention-head": 1, "mlp-channel": model.config.head_dim}
+    victims = []
+    for i, layer in enumerate(model.layers):
+        for kind, width in (("attention-head", layer.n_heads), ("mlp-channel", layer.d_ffn)):
+            picked = pick(width, width - floors[kind])
+            victims += [g for g in groups
+                        if g.layer == i and g.kind == kind and g.index in picked]
+    return victims
+
+
+def all_logits(model, items):
+    """Logits of each layout bucket, then of each item alone: BLAS may round a
+    one-item forward differently when a weight is not C-ordered."""
+    batches = [[items[i] for i in idx] for idx in M.layout_buckets(items)]
+    with T.no_grad():
+        return [M.forward(model, batch, capture=None).logits.data
+                for batch in batches + [[it] for it in items]]
+
+
+@pytest.mark.parametrize("kind", ["full", "ragged"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_surgery_properties_on_random_feasible_victims(kind, data):
+    base = surgery_base(kind)
+    victims = floor_respecting_victims(
+        lambda width, most: data.draw(st.sets(st.integers(0, width - 1), max_size=most)), base)
+    items = D.generate_dataset(n=40, seed=5)[0][:12]
+
+    masked = base.copy()
+    for g in victims:
+        zero_group(masked, g)
+    pruned = base.copy()
+    before = A.count_params(pruned, "decoder-blocks")
+    plan = plan_removing(pruned, victims)
+    result = P.execute(pruned, plan)
+
+    for a, b in zip(all_logits(masked, items), all_logits(pruned, items)):
+        assert np.abs(a - b).max() <= 1e-5
+    removed = before - A.count_params(pruned, "decoder-blocks")
+    assert removed == sum(e["params_removed"] for e in result.surgery_log)
+    assert removed == plan.predicted_params_removed
+    assert all(p.data.flags.c_contiguous for _, p in pruned.named_parameters())
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "pruned.ckpt")
+        C.save(pruned, path)
+        loaded, _ = C.load(path)
+    assert loaded.layer_shapes() == pruned.layer_shapes()
+    for a, b in zip(all_logits(loaded, items), all_logits(pruned, items)):
+        assert a.tobytes() == b.tobytes()

@@ -368,6 +368,11 @@ def test_config_validation():
         RecoveryConfig(data_fraction=0.0)
     with pytest.raises(ParameterError):
         RecoveryConfig(scope="everything")
+    with pytest.raises(ParameterError):
+        LoraSettings(rank=0)
+    for target in ("wk", "wo", "w_up", "wq"):
+        with pytest.raises(ParameterError):
+            LoraSettings(targets=("wq", target))
 
 
 def test_vision_frozen_through_recovery():
