@@ -1,17 +1,23 @@
-"""Fixed-seed fingerprint of prunekit's training loops and prune surgery.
+"""Fixed-seed fingerprint of prunekit's config resolution, training loops
+and prune surgery.
 
-Runs a short teacher pre-training and four recovery runs that cover both
-scopes, both KD directions, hidden-state matching on two layers, a 5% data
-subsample, zero momentum and in-run evaluation. Prints one JSON line per run
-with the final `Model.checksum()` and every `LossBreakdown` record (floats at
-full precision). Then it prunes the teacher layerwise at 0.3 and widthwise at
+First it prints what each INI section of configs/toy.ini and of
+tests/every_key.ini (every key set to a non-default value) resolves to: one
+line per section with the `repr` of its config. Then it runs a short teacher
+pre-training and four recovery runs that cover both scopes, both KD
+directions, hidden-state matching on two layers, a 5% data subsample, zero
+momentum and in-run evaluation, and prints one JSON line per run with the
+final `Model.checksum()` and every `LossBreakdown` record (floats at full
+precision). Then it prunes the teacher layerwise at 0.3 and widthwise at
 0.2 and 0.55, and prunes the widthwise-0.2 model widthwise again, and prints
 one line per pruned model as surgery left it in memory: its checksum and the
 SHA-256 of its checkpoint bytes and of its logits on the evaluation items,
 run per layout bucket and then one item at a time. The checksum and the
 checkpoint see only values; the one-item logits also see the memory layout
-of the pruned weights. Last comes the SHA-256 of all lines.
-Two source trees train and prune bit-identically when their outputs are equal:
+of the pruned weights. Last comes the SHA-256 of the training and pruning
+lines.
+Two source trees resolve configs, train and prune bit-identically when their
+outputs are equal:
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 scripts/training_fingerprint.py
 """
@@ -19,9 +25,11 @@ Two source trees train and prune bit-identically when their outputs are equal:
 import hashlib
 import json
 import os
+import pathlib
 import tempfile
 
 from prunekit import checkpoint as C
+from prunekit import config as CFG
 from prunekit import data as D
 from prunekit import evaluation as E
 from prunekit import importance as I
@@ -29,6 +37,12 @@ from prunekit import model as M
 from prunekit import pruning as P
 from prunekit import recovery as R
 from prunekit import tensor as T
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CONFIG_FILES = ("configs/toy.ini", "tests/every_key.ini")
+SECTIONS = {"model": CFG.model_config, "data": CFG.data_settings,
+            "teacher": CFG.teacher_config, "recovery": CFG.recovery_config,
+            "prune": CFG.prune_settings}
 
 RECOVERY_RUNS = {
     "projector-kl-match2": dict(alpha=1.0, beta=1.0, gamma=1.0, kd_direction="kl",
@@ -66,6 +80,11 @@ def pruned_line(name, model, items):
 
 
 def main():
+    for name in CONFIG_FILES:
+        cfg = CFG.load_config(str(ROOT / name))
+        for section, resolve in SECTIONS.items():
+            print(name, section, repr(resolve(cfg)))
+
     train, evals = D.generate_dataset(n=120, seed=4)
     evals = evals[:16]
 

@@ -31,8 +31,8 @@ from . import pruning as P
 from . import recovery as R
 from .advisor import OutOfValidatedRangeError, Scenario
 from .checkpoint import CheckpointError
-from .config import ConfigError, load_config, model_config, prune_settings, \
-    recovery_config, teacher_config, data_settings
+from .config import ConfigError, comma_list, data_settings, load_config, model_config, \
+    prune_settings, recovery_config, teacher_config
 from .importance import NonFiniteGradientError
 from .pruning import Floors, InfeasiblePlanError, PlanModelMismatchError
 from .recovery import TrainingDivergedError
@@ -128,11 +128,12 @@ def cmd_train_teacher(args):
     return EXIT_OK
 
 
-def _calibration(args, train):
-    size = prune_settings(_load_cfg(args.config)).get("calib_size", 10)
-    if getattr(args, "calib_size", None):
-        size = args.calib_size
-    return D.draw_calibration(train, n=size, seed=child_seed(args.seed, 1))
+def _calibration(args, train, overrides=None):
+    """[prune] settings under --calib-size and `overrides`, and the seeded
+    calibration draw of that size."""
+    ps = prune_settings(_load_cfg(args.config),
+                        {"calib_size": args.calib_size, **(overrides or {})})
+    return ps, D.draw_calibration(train, n=ps["calib_size"], seed=child_seed(args.seed, 1))
 
 
 def _importance(model, layerwise, calib):
@@ -147,7 +148,8 @@ def _importance(model, layerwise, calib):
 def cmd_inspect(args):
     model, _ = C.load(args.ckpt)
     train, _ = D.load_dataset(args.data)
-    report = _importance(model, args.mode == "bi", _calibration(args, train))
+    _, calib = _calibration(args, train)
+    report = _importance(model, args.mode == "bi", calib)
     records = report.to_records()
     if args.mode == "bi":
         extra = {"ranking": report.ranking, "tokens_used": report.tokens_used,
@@ -166,9 +168,8 @@ def cmd_inspect(args):
 def cmd_prune(args):
     model, meta = C.load(args.ckpt)
     train, _ = D.load_dataset(args.data)
-    calib = _calibration(args, train)
-    ps = prune_settings(_load_cfg(args.config),
-                        {"min_heads": args.min_heads, "min_channels": args.min_channels})
+    ps, calib = _calibration(args, train, {"min_heads": args.min_heads,
+                                           "min_channels": args.min_channels})
     report = _importance(model, args.mode == "layerwise", calib)
     floors = Floors(min_heads=ps["min_heads"], min_channels=ps["min_channels"])
     plan = P.plan(args.mode, report, args.ratio, floors)
@@ -298,7 +299,7 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--tasks", default=None)
+    p.add_argument("--tasks", type=comma_list, default=None)
 
     p = add("train-teacher", cmd_train_teacher, help="train the uncompressed teacher")
     p.add_argument("--config", default=None)

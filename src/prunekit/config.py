@@ -1,7 +1,11 @@
-"""INI config files with sections mirroring the module config types.
+"""INI config files whose sections are the module config dataclasses.
 
-Sections: [model], [data], [teacher], [recovery], [prune]. Every key is
-optional; CLI flags override file values. Unknown keys fail loudly.
+Sections: [model] ModelConfig, [data] DataSettings, [teacher] TeacherConfig,
+[recovery] RecoveryConfig, [prune] PruneSettings. Each field is one key, of
+the type of its default; a tuple field is a comma list, and a
+dataclass-valued field `f` contributes one key `f_<name>` per field of its
+own (`lora_rank`, `lora_scaling`, `lora_targets`). Every key is optional;
+CLI flags override file values. Unknown sections and keys fail loudly.
 """
 
 from __future__ import annotations
@@ -10,42 +14,54 @@ import configparser
 import dataclasses
 import os
 
+from . import data as D
 from .model import ModelConfig
-from .recovery import LoraSettings, RecoveryConfig, TeacherConfig
+from .recovery import RecoveryConfig, TeacherConfig
 
 
 class ConfigError(ValueError):
     """Unreadable config file, unknown key, or bad value."""
 
 
-_MODEL_KEYS = {f.name: f.type for f in dataclasses.fields(ModelConfig)}
-_TEACHER_KEYS = {f.name for f in dataclasses.fields(TeacherConfig)}
-_RECOVERY_KEYS = {f.name for f in dataclasses.fields(RecoveryConfig)} | {
-    "lora_rank", "lora_scaling", "lora_targets"} - {"lora"}
-_DATA_KEYS = {"tasks", "n", "eval_fraction"}
-_PRUNE_KEYS = {"calib_size", "min_heads", "min_channels"}
-
-_SECTIONS = {
-    "model": set(_MODEL_KEYS),
-    "data": _DATA_KEYS,
-    "teacher": _TEACHER_KEYS,
-    "recovery": _RECOVERY_KEYS,
-    "prune": _PRUNE_KEYS,
-}
-
-_FLOAT_KEYS = {
-    "rms_eps", "peak_lr", "floor_frac", "momentum", "clip", "alpha", "beta",
-    "gamma", "tau", "data_fraction", "lr", "lora_scaling", "eval_fraction",
-}
-_STR_KEYS = {"kd_direction", "scope", "tasks", "lora_targets", "match_layers"}
+@dataclasses.dataclass(frozen=True)
+class DataSettings:
+    tasks: tuple = D.TASKS
+    n: int = 1920
+    eval_fraction: float = 0.2
 
 
-def _coerce(section, key, raw):
-    if key in _STR_KEYS:
-        return raw.strip()
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    return int(raw)
+@dataclasses.dataclass(frozen=True)
+class PruneSettings:
+    calib_size: int = 10
+    min_heads: int = 1
+    min_channels: int | None = None  # None: head_dim
+
+
+_SECTIONS = {"model": ModelConfig, "data": DataSettings, "teacher": TeacherConfig,
+             "recovery": RecoveryConfig, "prune": PruneSettings}
+
+
+def comma_list(raw, item=str):
+    """A comma-separated string as a tuple of `item`s, blanks dropped."""
+    return tuple(item(tok.strip()) for tok in raw.split(",") if tok.strip())
+
+
+def _keys(cls):
+    """{INI key: default} of one section's dataclass."""
+    keys = {}
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(f.default):
+            keys.update({f"{f.name}_{k}": v for k, v in _keys(type(f.default)).items()})
+        else:
+            keys[f.name] = f.default
+    return keys
+
+
+def _parse(default, raw):
+    """An INI string as the type of `default`; a None default is an optional int."""
+    if isinstance(default, tuple):
+        return comma_list(raw, type(default[0]))
+    return (int if default is None else type(default))(raw.strip())
 
 
 def load_config(path):
@@ -61,74 +77,52 @@ def load_config(path):
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ConfigError(f"{path}: unknown section [{section}]")
-        allowed = _SECTIONS[section]
+        defaults = _keys(_SECTIONS[section])
         values = {}
         for key, raw in parser.items(section):
-            if key not in allowed:
+            if key not in defaults:
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
             try:
-                values[key] = _coerce(section, key, raw)
+                values[key] = _parse(defaults[key], raw)
             except ValueError as exc:
                 raise ConfigError(f"{path}: bad value for [{section}] {key}: {raw!r}") from exc
         out[section] = values
     return out
 
 
-def model_config(cfg, overrides=None):
-    values = dict(cfg.get("model", {}))
-    values.update(overrides or {})
+def _build(section, cfg, overrides):
+    """The section's dataclass from the file values of `cfg` and every
+    override that is not None, defaults filling the rest."""
+    cls = _SECTIONS[section]
+    values = dict(cfg.get(section, {}))
+    values.update({k: v for k, v in (overrides or {}).items() if v is not None})
     try:
-        return ModelConfig(**values)
+        for f in dataclasses.fields(cls):
+            if dataclasses.is_dataclass(f.default):
+                prefix = f"{f.name}_"
+                nested = {k[len(prefix):]: values.pop(k) for k in list(values)
+                          if k.startswith(prefix)}
+                values[f.name] = dataclasses.replace(values.get(f.name, f.default), **nested)
+        return cls(**values)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid [model] config: {exc}") from exc
+        raise ConfigError(f"invalid [{section}] config: {exc}") from exc
+
+
+def model_config(cfg, overrides=None):
+    return _build("model", cfg, overrides)
 
 
 def teacher_config(cfg, overrides=None):
-    values = dict(cfg.get("teacher", {}))
-    values.update({k: v for k, v in (overrides or {}).items() if v is not None})
-    try:
-        return TeacherConfig(**values)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid [teacher] config: {exc}") from exc
-
-
-def _parse_match_layers(raw):
-    try:
-        return tuple(int(tok) for tok in str(raw).split(",") if tok.strip() != "")
-    except ValueError as exc:
-        raise ConfigError(f"bad match_layers {raw!r}") from exc
+    return _build("teacher", cfg, overrides)
 
 
 def recovery_config(cfg, overrides=None):
-    values = dict(cfg.get("recovery", {}))
-    values.update({k: v for k, v in (overrides or {}).items() if v is not None})
-    lora_kw = {}
-    if "lora_rank" in values:
-        lora_kw["rank"] = int(values.pop("lora_rank"))
-    if "lora_scaling" in values:
-        lora_kw["scaling"] = float(values.pop("lora_scaling"))
-    if "lora_targets" in values:
-        lora_kw["targets"] = tuple(t.strip() for t in values.pop("lora_targets").split(","))
-    if "match_layers" in values:
-        values["match_layers"] = _parse_match_layers(values["match_layers"])
-    try:
-        return RecoveryConfig(lora=LoraSettings(**lora_kw), **values)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid [recovery] config: {exc}") from exc
+    return _build("recovery", cfg, overrides)
 
 
 def data_settings(cfg, overrides=None):
-    values = {"tasks": "visual-lookup,visual-count,prompt-echo",
-              "n": 1920, "eval_fraction": 0.2}
-    values.update(cfg.get("data", {}))
-    values.update({k: v for k, v in (overrides or {}).items() if v is not None})
-    tasks = tuple(t.strip() for t in str(values["tasks"]).split(",") if t.strip())
-    return {"tasks": tasks, "n": int(values["n"]),
-            "eval_fraction": float(values["eval_fraction"])}
+    return dataclasses.asdict(_build("data", cfg, overrides))
 
 
 def prune_settings(cfg, overrides=None):
-    values = {"calib_size": 10, "min_heads": 1, "min_channels": None}
-    values.update(cfg.get("prune", {}))
-    values.update({k: v for k, v in (overrides or {}).items() if v is not None})
-    return values
+    return dataclasses.asdict(_build("prune", cfg, overrides))

@@ -69,7 +69,7 @@ def encode_descriptor(task, meta):
     return x
 
 
-def expected_answer(task, meta, prompt=None):
+def expected_answer(task, meta):
     """The unique correct answer token implied by (descriptor, prompt) semantics."""
     if task == "visual-lookup":
         return int(meta["slot"])

@@ -79,6 +79,13 @@ class RecoveryConfig:
             raise ParameterError("beta > 0 requires a kd_direction")
         if self.scope not in ("projector", "joint"):
             raise ParameterError(f"unknown scope {self.scope!r}")
+        _check_run_length(self)
+
+
+def _check_run_length(config):
+    if config.steps < 1 or config.batch_size < 1:
+        raise ParameterError(f"steps and batch_size must be >= 1, got "
+                             f"{config.steps} and {config.batch_size}")
 
 
 @dataclass
@@ -423,6 +430,9 @@ class TeacherConfig:
     momentum: float = 0.9
     clip: float = 1.0
     seed: int = 0
+
+    def __post_init__(self):
+        _check_run_length(self)
 
 
 def _cosine_lr(step, cfg):

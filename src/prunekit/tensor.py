@@ -373,37 +373,28 @@ def exp(x):
     return Tensor._from_op(out_data, (x,), bwd, "exp")
 
 
-def cross_entropy(logits, targets, ignore_mask=None):
-    """Mean negative log-likelihood of `targets` under rows of `logits`.
-
-    Rows where `ignore_mask` is True are excluded from the mean.
-    """
+def cross_entropy(logits, targets):
+    """Mean negative log-likelihood of `targets` under rows of `logits`."""
     if logits.data.ndim != 2:
         raise DimensionError(f"cross_entropy: logits must be 2-D, got {logits.data.shape}")
     targets = np.asarray(targets, dtype=np.int64)
     n, v = logits.data.shape
     if targets.shape != (n,):
         raise DimensionError(f"cross_entropy: {n} logit rows but targets of shape {targets.shape}")
-    if targets.size and (targets.min() < 0 or targets.max() >= v):
+    if n == 0:
+        raise ParameterError("cross_entropy: no rows")
+    if targets.min() < 0 or targets.max() >= v:
         raise IndexError(f"cross_entropy: target id out of range for vocabulary of {v}")
-    keep = np.ones(n, dtype=bool)
-    if ignore_mask is not None:
-        keep = ~np.asarray(ignore_mask, dtype=bool)
-    m = int(keep.sum())
-    if m == 0:
-        raise ParameterError("cross_entropy: every position is masked out")
-
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
     logp = z - lse
     nll = -logp[np.arange(n), targets]
-    out_data = np.asarray(nll[keep].mean(), dtype=logits.data.dtype)
+    out_data = np.asarray(nll.mean(), dtype=logits.data.dtype)
 
     def bwd(g, push):
         p = np.exp(logp)
         p[np.arange(n), targets] -= 1.0
-        p[~keep] = 0.0
-        push(logits, p * (float(g) / m))
+        push(logits, p * (float(g) / n))
 
     return Tensor._from_op(out_data, (logits,), bwd, "cross_entropy")
 

@@ -77,6 +77,30 @@ def test_lora_target_the_forward_never_adapts_is_config_error(workspace, tmp_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["inspect-calib-0", "prune-calib-0", "recover-steps-0",
+                                  "recover-batch-0", "teacher-batch-0"])
+def test_bad_run_settings_are_config_errors(workspace, tmp_path, case):
+    ws = {k: str(v) for k, v in workspace.items()}
+    out = tmp_path / "out"
+    common = ["--data", ws["data"], "--out", str(out)]
+    argv = {
+        "inspect-calib-0": ["inspect", "--ckpt", ws["teacher"], "--mode", "bi",
+                            "--calib-size", "0"],
+        "prune-calib-0": ["prune", "--ckpt", ws["teacher"], "--mode", "layerwise",
+                          "--ratio", "0.3", "--calib-size", "0"],
+        "recover-steps-0": ["recover", "--student", ws["teacher"], "--teacher",
+                            ws["teacher"], "--config", ws["cfg"], "--steps", "0"],
+        "recover-batch-0": ["recover", "--student", ws["teacher"], "--teacher",
+                            ws["teacher"], "--config", ws["cfg"], "--batch-size", "0"],
+    }
+    if case == "teacher-batch-0":
+        cfg = tmp_path / "teacher.ini"
+        cfg.write_text("[teacher]\nbatch_size = 0\n")
+        argv[case] = ["train-teacher", "--config", str(cfg)]
+    assert run(argv[case] + common) == cli.EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_infeasible_plan_exit_code(workspace):
     code = run(["prune", "--ckpt", str(workspace["teacher"]),
                 "--data", str(workspace["data"]), "--mode", "layerwise",

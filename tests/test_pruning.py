@@ -319,16 +319,21 @@ def test_surgery_properties_on_random_feasible_victims(kind, data):
         lambda width, most: data.draw(st.sets(st.integers(0, width - 1), max_size=most)), base)
     items = D.generate_dataset(n=40, seed=5)[0][:12]
 
-    masked = base.copy()
-    for g in victims:
-        zero_group(masked, g)
+    # Masked equivalence in float64: in float32 the two summation orders
+    # differ by up to ~30 eps of the largest logit, which hides nothing.
+    with T.precision("float64"):
+        masked = base.copy()
+        for g in victims:
+            zero_group(masked, g)
+        pruned = base.copy()
+        P.execute(pruned, plan_removing(pruned, victims))
+        for a, b in zip(all_logits(masked, items), all_logits(pruned, items)):
+            assert np.abs(a - b).max() <= 1e-9
+
     pruned = base.copy()
     before = A.count_params(pruned, "decoder-blocks")
     plan = plan_removing(pruned, victims)
     result = P.execute(pruned, plan)
-
-    for a, b in zip(all_logits(masked, items), all_logits(pruned, items)):
-        assert np.abs(a - b).max() <= 1e-5
     removed = before - A.count_params(pruned, "decoder-blocks")
     assert removed == sum(e["params_removed"] for e in result.surgery_log)
     assert removed == plan.predicted_params_removed

@@ -1,10 +1,14 @@
 """Recovery losses and training: hand-computed KD values, LoRA identity, scope isolation."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from prunekit import accounting as A
 from prunekit import data as D
 from prunekit import importance as I
 from prunekit import model as M
@@ -151,6 +155,66 @@ def test_hidden_match_layer_choice_changes_loss(rng):
     three = R.hidden_match_loss(tr_s, tr_t, layers=(-3, -2, -1)).item()
     assert math.isfinite(last) and math.isfinite(three)
     assert last != three
+
+
+@functools.lru_cache(maxsize=None)
+def six_block_model():
+    """A random-weight six-block toy model; callers copy it."""
+    model = M.init(ModelConfig(n_layers=6), seed=31)
+    rng = np.random.default_rng(31)
+    for _, p in model.named_parameters():
+        if p.data.ndim == 2:
+            p.data[...] = rng.standard_normal(p.data.shape) * 0.2
+    return model
+
+
+def remove_blocks(model, blocks):
+    """Layerwise surgery removing exactly `blocks`."""
+    shape = A.shape_of(model)
+    removed = sum(A.layer_param_count(shape, shape.layers[i]) for i in blocks)
+    total = A.decoder_param_count(shape)
+    P.execute(model, P.PrunePlan("layerwise", removed / total, sorted(blocks), removed,
+                                 total, tuple(model.layer_shapes())))
+
+
+MATCH_RUN = RecoveryConfig(beta=1.0, gamma=1.0, kd_direction="kl",
+                           match_layers=(-3, -2, -1), steps=1, batch_size=8)
+
+
+@settings(max_examples=10, deadline=None)
+@given(blocks=st.sets(st.integers(0, 2), min_size=1))
+def test_hidden_match_is_zero_after_removing_identity_blocks(blocks):
+    """A block whose wo and w_down are zero passes its input through exactly.
+    Removing such blocks, all outside the last three, keeps each matched block
+    the same block in teacher and student, so matching is exact as long as
+    negative indices resolve per model across the change of depth."""
+    teacher = six_block_model().copy()
+    for i in blocks:
+        teacher.layers[i].wo.data[...] = 0.0
+        teacher.layers[i].w_down.data[...] = 0.0
+    student = teacher.copy()
+    remove_blocks(student, blocks)
+    items = D.generate_dataset(n=60, seed=7)[0][:16]
+    with T.no_grad():
+        for idx in M.layout_buckets(items):
+            batch = [items[i] for i in idx]
+            tr_t = M.forward(teacher, batch, capture="all")
+            tr_s = M.forward(student, batch, capture="all")
+            assert tr_s.logits.data.tobytes() == tr_t.logits.data.tobytes()
+            for layers in ((-1,), (-2, -1), (-3, -2, -1)):
+                assert R.hidden_match_loss(tr_s, tr_t, layers).item() == 0.0
+    # Training reads the teacher cache, made on other buckets: rounding only.
+    step = R.train(student, teacher, items, MATCH_RUN).steps[0]
+    assert step["l_match"] <= 1e-9
+    assert step["l_logits"] <= 1e-6
+
+
+def test_hidden_match_is_positive_after_removing_a_working_block():
+    teacher = six_block_model()
+    student = teacher.copy()
+    remove_blocks(student, {1})
+    items = D.generate_dataset(n=60, seed=7)[0][:16]
+    assert R.train(student, teacher, items, MATCH_RUN).steps[0]["l_match"] > 0
 
 
 # ------------------------------------------------------------------ sft loss

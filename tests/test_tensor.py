@@ -113,14 +113,6 @@ def test_cross_entropy_against_logsumexp_oracle(rng):
     assert abs(loss - total / 3) <= 1e-6
 
 
-def test_cross_entropy_mask_excludes_rows(rng):
-    logits = rng.standard_normal((4, 6))
-    targets = [0, 1, 2, 3]
-    masked = T.cross_entropy(Tensor(logits), targets, ignore_mask=[False, True, False, True])
-    unmasked = T.cross_entropy(Tensor(logits[[0, 2]]), [0, 2])
-    assert abs(masked.item() - unmasked.item()) < 1e-6
-
-
 def test_cross_entropy_target_out_of_vocab():
     with pytest.raises(IndexError):
         T.cross_entropy(Tensor(np.zeros((2, 4))), [0, 4])
