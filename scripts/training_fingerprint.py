@@ -14,8 +14,10 @@ one line per pruned model as surgery left it in memory: its checksum and the
 SHA-256 of its checkpoint bytes and of its logits on the evaluation items,
 run per layout bucket and then one item at a time. The checksum and the
 checkpoint see only values; the one-item logits also see the memory layout
-of the pruned weights. Last comes the SHA-256 of the training and pruning
-lines.
+of the pruned weights. The same line carries the per-layer shapes of the
+model that checkpoint reloads into, which are read off its tensors, and the
+SHA-256 of the reloaded model's per-bucket logits. Last comes the SHA-256 of
+the training and pruning lines.
 Two source trees resolve configs, train and prune bit-identically when their
 outputs are equal:
 
@@ -64,18 +66,25 @@ def sha256(blob):
     return hashlib.sha256(blob).hexdigest()
 
 
+def logits_sha256(model, batches):
+    with T.no_grad():
+        return sha256(b"".join(M.forward(model, batch, capture=None).logits.data.tobytes()
+                               for batch in batches))
+
+
 def pruned_line(name, model, items):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "model.ckpt")
         C.save(model, path)
         with open(path, "rb") as f:
             ckpt = f.read()
+        reloaded, _ = C.load(path)
     batches = [[items[i] for i in idx] for idx in M.layout_buckets(items)]
-    with T.no_grad():
-        logits = b"".join(M.forward(model, batch, capture=None).logits.data.tobytes()
-                          for batch in batches + [[it] for it in items])
     return json.dumps({"run": name, "checksum": model.checksum(), "ckpt_sha256": sha256(ckpt),
-                       "logits_sha256": sha256(logits), "layer_shapes": model.layer_shapes()},
+                       "logits_sha256": logits_sha256(model, batches + [[it] for it in items]),
+                       "layer_shapes": model.layer_shapes(),
+                       "reloaded_layer_shapes": reloaded.layer_shapes(),
+                       "reloaded_logits_sha256": logits_sha256(reloaded, batches)},
                       sort_keys=True)
 
 

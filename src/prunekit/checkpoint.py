@@ -6,8 +6,9 @@ Layout:
     <manifest JSON>          (sorted keys; config, per-layer shapes, tensor index, meta)
     <payload>                (tensors back to back at their declared offsets)
 
-The manifest's shape record is sufficient to rebuild a pruned model without
-the original configuration. Per-tensor CRC32 checksums are validated on load.
+The tensors rebuild a pruned model without the original configuration, and
+the manifest's per-layer shapes must agree with them. Per-tensor CRC32
+checksums are validated on load.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import zlib
 import numpy as np
 
 from .model import ModelConfig, from_arrays
-from .tensor import ParameterError
 
 MAGIC = b"PRUNEKIT_CKPT v1\n"
 
@@ -82,25 +82,30 @@ def read_manifest(path):
 def load(path):
     """Rebuild the model (including pruned shapes); returns (model, manifest)."""
     manifest, payload_start = read_manifest(path)
-    if manifest.get("format_version") != 1:
+    if not isinstance(manifest, dict) or manifest.get("format_version") != 1:
         raise CheckpointError(f"{path}: unsupported format version")
     with open(path, "rb") as f:
         f.seek(payload_start)
         payload = f.read()
 
-    arrays = {}
-    for entry in manifest["tensors"]:
-        raw = payload[entry["offset"]:entry["offset"] + entry["nbytes"]]
-        if len(raw) != entry["nbytes"]:
-            raise CheckpointError(f"{path}: truncated payload at {entry['name']}")
-        if zlib.crc32(raw) != entry["crc32"]:
-            raise CheckpointError(f"{path}: checksum mismatch for {entry['name']}")
-        arrays[entry["name"]] = np.frombuffer(raw, dtype="<f4").reshape(entry["shape"]).copy()
-
-    config = ModelConfig(**manifest["config"])
-    layer_shapes = [tuple(s) for s in manifest["layer_shapes"]]
     try:
-        model = from_arrays(config, layer_shapes, arrays)
-    except ParameterError as exc:
-        raise CheckpointError(f"{path}: {exc}") from exc
+        arrays = {}
+        for entry in manifest["tensors"]:
+            raw = payload[entry["offset"]:entry["offset"] + entry["nbytes"]]
+            if len(raw) != entry["nbytes"]:
+                raise CheckpointError(f"{path}: truncated payload at {entry['name']}")
+            if zlib.crc32(raw) != entry["crc32"]:
+                raise CheckpointError(f"{path}: checksum mismatch for {entry['name']}")
+            arrays[entry["name"]] = np.frombuffer(raw, dtype="<f4").reshape(entry["shape"]).copy()
+        model = from_arrays(ModelConfig(**manifest["config"]), arrays)
+        if model.layer_shapes() != [tuple(s) for s in manifest["layer_shapes"]]:
+            raise CheckpointError(f"{path}: manifest layer_shapes {manifest['layer_shapes']} "
+                                  f"disagree with the tensors' {model.layer_shapes()}")
+        if not isinstance(manifest["meta"], dict):
+            raise TypeError(f"meta is a {type(manifest['meta']).__name__}, not an object")
+    except CheckpointError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:  # ParameterError is a ValueError
+        raise CheckpointError(
+            f"{path}: malformed checkpoint ({type(exc).__name__}: {exc})") from exc
     return model, manifest

@@ -119,10 +119,13 @@ def generate_dataset(task_mix=TASKS, n=1920, seed=0, eval_fraction=0.2):
             raise ParameterError(f"unknown task {task!r}")
     rng = np.random.default_rng(seed)
     per_task = n // len(task_mix)
+    n_eval = max(1, int(round(per_task * eval_fraction))) if 0 < eval_fraction < 1 else per_task
+    if n_eval >= per_task:
+        raise ParameterError(f"eval_fraction {eval_fraction} must be in (0, 1) and leave "
+                             f"each task at least one of its {per_task} items for training")
     train, evals = [], []
     for task in task_mix:
         items = [_sample_item(task, rng) for _ in range(per_task)]
-        n_eval = max(1, int(round(per_task * eval_fraction)))
         evals.extend(items[:n_eval])
         train.extend(items[n_eval:])
     return train, evals
@@ -167,6 +170,8 @@ def load_dataset(path):
         raise ParameterError(
             f"dataset descriptor width {payload.get('descriptor_dim')} does not match "
             f"this build's {DESCRIPTOR_DIM}")
+    if not all(isinstance(payload.get(pool), list) for pool in ("train", "eval")):
+        raise ParameterError(f"{path}: dataset needs a 'train' and an 'eval' item list")
     train = [_record_to_item(r) for r in payload["train"]]
     evals = [_record_to_item(r) for r in payload["eval"]]
     return train, evals

@@ -130,14 +130,6 @@ def layout_buckets(items, size=BUCKET_SIZE):
             for lo in range(0, len(idx), size)]
 
 
-# Parameter name -> attribute, in named_parameters order: the model-level
-# parameters before the layers, each layer's under "layers.<i>.", then the
-# model-level parameters after them.
-_INPUT_SLOTS = {"vision.w": "vision_w", "projector.w1": "proj_w1", "projector.b1": "proj_b1",
-                "projector.w2": "proj_w2", "projector.b2": "proj_b2", "embed.w": "embed"}
-_LAYER_SLOTS = {"attn.gain": "attn_gain", "attn.wq": "wq", "attn.wk": "wk", "attn.wv": "wv",
-                "attn.wo": "wo", "mlp.gain": "mlp_gain", "mlp.up": "w_up", "mlp.down": "w_down"}
-_OUTPUT_SLOTS = {"final_norm.g": "final_gain", "head.w": "head_w"}
 # The only parameter no training updates.
 _FROZEN = "vision.w"
 # Scope of each model-level name prefix; "layers.<i>" is "decoder-layer-<i>".
@@ -145,21 +137,38 @@ _SCOPES = {"vision": "vision", "projector": "projector", "embed": "embedding",
            "final_norm": "final-norm", "head": "head"}
 
 
-def _slots(n_layers):
-    """(name, layer index or None for the model, attribute) of every
-    parameter, in named_parameters order."""
-    out = [(name, None, attr) for name, attr in _INPUT_SLOTS.items()]
-    for i in range(n_layers):
-        out += [(f"layers.{i}.{name}", i, attr) for name, attr in _LAYER_SLOTS.items()]
-    return out + [(name, None, attr) for name, attr in _OUTPUT_SLOTS.items()]
+def _layout(config, widths):
+    """(name, layer index or None for the model, attribute, shape) of every
+    parameter, in named_parameters order; `widths` holds each block's
+    (n_heads, d_ffn)."""
+    d, v, dv = config.d_model, config.vocab_size, config.d_vision
+    out = [("vision.w", None, "vision_w", (config.n_visual_tokens * dv, config.d_descriptor)),
+           ("projector.w1", None, "proj_w1", (d, dv)), ("projector.b1", None, "proj_b1", (d,)),
+           ("projector.w2", None, "proj_w2", (d, d)), ("projector.b2", None, "proj_b2", (d,)),
+           ("embed.w", None, "embed", (v, d))]
+    for i, (n_heads, d_ffn) in enumerate(widths):
+        width = n_heads * config.head_dim
+        out += [(f"layers.{i}.{name}", i, attr, shape) for name, attr, shape in (
+            ("attn.gain", "attn_gain", (d,)), ("attn.wq", "wq", (width, d)),
+            ("attn.wk", "wk", (width, d)), ("attn.wv", "wv", (width, d)),
+            ("attn.wo", "wo", (d, width)), ("mlp.gain", "mlp_gain", (d,)),
+            ("mlp.up", "w_up", (d_ffn, d)), ("mlp.down", "w_down", (d, d_ffn)))]
+    return out + [("final_norm.g", None, "final_gain", (d,)), ("head.w", None, "head_w", (v, d))]
 
 
 class DecoderLayer:
-    """One block's weights (set by `from_arrays`) and its live widths."""
+    """One block's weights (set by `from_arrays`); its widths are read off them."""
 
-    def __init__(self, n_heads, d_ffn):
-        self.n_heads = n_heads
-        self.d_ffn = d_ffn
+    def __init__(self, head_dim):
+        self.head_dim = head_dim
+
+    @property
+    def n_heads(self):
+        return self.wq.data.shape[0] // self.head_dim
+
+    @property
+    def d_ffn(self):
+        return self.w_up.data.shape[0]
 
 
 class Model:
@@ -177,7 +186,7 @@ class Model:
     def named_parameters(self):
         """Deterministic (name, Tensor) listing of every parameter."""
         return [(name, getattr(self if i is None else self.layers[i], attr))
-                for name, i, attr in _slots(self.n_layers)]
+                for name, i, attr, _ in _layout(self.config, self.layer_shapes())]
 
     def get_parameter(self, name):
         for n, p in self.named_parameters():
@@ -190,8 +199,7 @@ class Model:
 
     def copy(self):
         """Independent deep copy (fresh leaf tensors, no shared arrays)."""
-        return from_arrays(self.config, self.layer_shapes(),
-                           {name: p.data.copy() for name, p in self.named_parameters()})
+        return from_arrays(self.config, {n: p.data.copy() for n, p in self.named_parameters()})
 
     def checksum(self):
         """CRC32 over all parameter bytes, in named_parameters order."""
@@ -201,21 +209,38 @@ class Model:
         return c
 
 
-def from_arrays(config, layer_shapes, arrays):
+def _rows(arrays, name):
+    if name not in arrays:
+        raise ParameterError(f"missing tensor {name}")
+    return np.shape(arrays[name])[0] if np.ndim(arrays[name]) else 0
+
+
+def from_arrays(config, arrays):
     """Build a Model from `arrays`, a map from every parameter name to its values.
 
-    layer_shapes gives each block's (n_heads, d_ffn). Each array becomes a
-    fresh leaf tensor that owns it; every parameter but the vision stub is
-    trainable. Raises ParameterError naming a missing tensor or any extra ones.
+    The block count is read off the "layers.<i>." names, and each block's
+    widths off its arrays: wq rows // head_dim heads and up rows channels.
+    Each array becomes a fresh leaf tensor that owns it; every parameter but
+    the vision stub is trainable. Raises ParameterError naming a missing,
+    extra or misshapen tensor, or a block with no head or no channel.
     """
-    model = Model(config, [DecoderLayer(n_heads, d_ffn) for n_heads, d_ffn in layer_shapes])
-    slots = _slots(model.n_layers)
-    for name, i, attr in slots:
+    n_layers = len({name.split(".")[1] for name in arrays if name.startswith("layers.")})
+    widths = [(_rows(arrays, f"layers.{i}.attn.wq") // config.head_dim,
+               _rows(arrays, f"layers.{i}.mlp.up")) for i in range(n_layers)]
+    for i, (n_heads, d_ffn) in enumerate(widths):
+        if n_heads < 1 or d_ffn < 1:
+            raise ParameterError(f"block {i} has {n_heads} heads and {d_ffn} MLP channels")
+    model = Model(config, [DecoderLayer(config.head_dim) for _ in widths])
+    layout = _layout(config, widths)
+    for name, i, attr, shape in layout:
         if name not in arrays:
             raise ParameterError(f"missing tensor {name}")
-        setattr(model if i is None else model.layers[i], attr,
-                Tensor(arrays[name], requires_grad=name != _FROZEN))
-    extra = set(arrays) - {name for name, _, _ in slots}
+        tensor = Tensor(arrays[name], requires_grad=name != _FROZEN)
+        if tensor.data.shape != shape:
+            raise ParameterError(
+                f"tensor {name} has shape {list(tensor.data.shape)}, expected {list(shape)}")
+        setattr(model if i is None else model.layers[i], attr, tensor)
+    extra = set(arrays) - {name for name, _, _, _ in layout}
     if extra:
         raise ParameterError(f"unexpected extra tensors {sorted(extra)}")
     return model
@@ -229,35 +254,15 @@ def init(config, seed):
     produce O(1) features. Weights are drawn in named_parameters order.
     """
     rng = np.random.default_rng(seed)
-    d = config.d_model
-    dv = config.d_vision
-    width = config.n_heads * config.head_dim
-
-    def normal(shape, scl=0.02):
-        return rng.standard_normal(shape) * scl
-
-    arrays = {
-        "vision.w": normal((config.n_visual_tokens * dv, config.d_descriptor), scl=0.5),
-        "projector.w1": normal((d, dv)),
-        "projector.b1": np.zeros(d),
-        "projector.w2": normal((d, d)),
-        "projector.b2": np.zeros(d),
-        "embed.w": normal((config.vocab_size, d)),
-    }
-    for i in range(config.n_layers):
-        arrays.update({
-            f"layers.{i}.attn.gain": np.ones(d),
-            f"layers.{i}.attn.wq": normal((width, d)),
-            f"layers.{i}.attn.wk": normal((width, d)),
-            f"layers.{i}.attn.wv": normal((width, d)),
-            f"layers.{i}.attn.wo": normal((d, width)),
-            f"layers.{i}.mlp.gain": np.ones(d),
-            f"layers.{i}.mlp.up": normal((config.d_ffn, d)),
-            f"layers.{i}.mlp.down": normal((d, config.d_ffn)),
-        })
-    arrays["final_norm.g"] = np.ones(d)
-    arrays["head.w"] = np.zeros((config.vocab_size, d))
-    return from_arrays(config, [(config.n_heads, config.d_ffn)] * config.n_layers, arrays)
+    arrays = {}
+    for name, _, attr, shape in _layout(config, [(config.n_heads, config.d_ffn)] * config.n_layers):
+        if attr.endswith("gain"):
+            arrays[name] = np.ones(shape)
+        elif len(shape) == 1 or name == "head.w":
+            arrays[name] = np.zeros(shape)
+        else:
+            arrays[name] = rng.standard_normal(shape) * (0.5 if name == "vision.w" else 0.02)
+    return from_arrays(config, arrays)
 
 
 # The projections `_block_forward` adds an attached LoRA adapter's delta to.

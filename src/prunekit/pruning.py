@@ -9,7 +9,7 @@ physically removed so weight matrices become genuinely smaller dense arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -52,11 +52,8 @@ class PrunePlan:
 
 @dataclass
 class PruneResult:
-    model: object
-    mode: str
     surgery_log: list  # per-victim dicts with exact parameter deltas
     achieved_ratio: float
-    layer_shapes: list
 
     def log_lines(self):
         return [f"{e['victim']}\tparams_removed={e['params_removed']}"
@@ -178,8 +175,7 @@ def execute(model, prune_plan):
     after = decoder_param_count(shape_of(model))
     achieved = 1.0 - after / prune_plan.decoder_params
     assert before - after == sum(e["params_removed"] for e in log)
-    return PruneResult(model=model, mode=prune_plan.mode, surgery_log=log,
-                       achieved_ratio=achieved, layer_shapes=model.layer_shapes())
+    return PruneResult(surgery_log=log, achieved_ratio=achieved)
 
 
 def _execute_layerwise(model, prune_plan):
@@ -189,8 +185,7 @@ def _execute_layerwise(model, prune_plan):
     shape = shape_of(model)
     log = [{"victim": f"decoder-layer-{i}",
             "params_removed": layer_param_count(shape, shape.layers[i]),
-            "detail": {"n_heads": model.layers[i].n_heads,
-                       "d_ffn": model.layers[i].d_ffn}}
+            "detail": asdict(shape.layers[i])}
            for i in sorted(victims)]
     model.layers = [l for i, l in enumerate(model.layers) if i not in victims]
     return log
@@ -211,10 +206,4 @@ def _execute_widthwise(model, prune_plan):
         # differently on it than on the C-ordered copy a checkpoint reloads
         p.data = np.ascontiguousarray(np.delete(p.data, doomed, axis=axis))
         p.grad = None
-    for g in prune_plan.victims:
-        layer = model.layers[g.layer]
-        if g.kind == "attention-head":
-            layer.n_heads -= 1
-        else:
-            layer.d_ffn -= 1
     return log

@@ -113,7 +113,6 @@ class LoraAdapter:
     a: Tensor  # (rank, d_in)
     b: Tensor  # (d_out, rank), zero-initialized
     scaling: float
-    merged: bool = False
 
 
 # --------------------------------------------------------------------- losses
@@ -229,12 +228,9 @@ def merge_lora(model):
     """Fold scaling*B@A into each base matrix exactly once, then detach."""
     if not model.lora:
         raise ParameterError("no adapters to merge")
-    for name, adapter in list(model.lora.items()):
-        if adapter.merged:
-            raise ParameterError(f"adapter {name} already merged")
+    for name, adapter in model.lora.items():
         base = model.get_parameter(name)
         base.data = base.data + adapter.scaling * (adapter.b.data @ adapter.a.data)
-        adapter.merged = True
     model.lora.clear()
 
 

@@ -82,8 +82,13 @@ def test_layer_param_count_formula():
 
 def test_shape_of_model_tracks_per_layer_shapes():
     model = M.init(ModelConfig(), seed=0)
-    model.layers[1].n_heads = 5
-    model.layers[1].d_ffn = 90
-    shape = A.shape_of(model)
+    arrays = {name: p.data for name, p in model.named_parameters()}
+    heads, channels = slice(0, 5 * model.config.head_dim), slice(0, 90)
+    for key in ("wq", "wk", "wv"):
+        arrays[f"layers.1.attn.{key}"] = arrays[f"layers.1.attn.{key}"][heads]
+    arrays["layers.1.attn.wo"] = arrays["layers.1.attn.wo"][:, heads]
+    arrays["layers.1.mlp.up"] = arrays["layers.1.mlp.up"][channels]
+    arrays["layers.1.mlp.down"] = arrays["layers.1.mlp.down"][:, channels]
+    shape = A.shape_of(M.from_arrays(model.config, arrays))
     assert shape.layers[1] == LayerShape(5, 90)
     assert shape.layers[0] == LayerShape(8, 128)

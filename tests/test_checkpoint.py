@@ -110,10 +110,15 @@ def add_entry(tensors):
     tensors.append({**tensors[0], "name": "layers.2.attn.wq"})
 
 
+def add_non_block_entry(tensors):
+    tensors.append({**tensors[0], "name": "head.b"})
+
+
 @pytest.mark.parametrize("edit, message", [
     (drop_entry, "missing tensor layers.1.mlp.down"),
-    (add_entry, "unexpected extra tensors ['layers.2.attn.wq']"),
-], ids=["missing", "extra"])
+    (add_entry, "missing tensor layers.2.mlp.up"),
+    (add_non_block_entry, "unexpected extra tensors ['head.b']"),
+], ids=["missing", "extra", "extra-non-block"])
 def test_load_rejects_a_missing_or_extra_tensor(tmp_path, edit, message):
     path = tmp_path / "m.ckpt"
     C.save(M.init(ModelConfig(n_layers=2), seed=0), path)

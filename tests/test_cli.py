@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from prunekit import checkpoint as C
 from prunekit import cli
 
 
@@ -98,6 +99,74 @@ def test_bad_run_settings_are_config_errors(workspace, tmp_path, case):
         cfg.write_text("[teacher]\nbatch_size = 0\n")
         argv[case] = ["train-teacher", "--config", str(cfg)]
     assert run(argv[case] + common) == cli.EXIT_CONFIG
+    assert not out.exists()
+
+
+def edit_manifest(path, edit):
+    """Apply `edit` to the checkpoint's manifest in place, keeping the payload."""
+    manifest, start = C.read_manifest(path)
+    payload = path.read_bytes()[start:]
+    edit(manifest)
+    header = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    path.write_bytes(C.MAGIC + f"{len(header)}\n".encode("ascii") + header + payload)
+
+
+def halve_first_block_heads(manifest):
+    manifest["layer_shapes"][0][0] = 2
+
+
+def drop_layer_shapes(manifest):
+    del manifest["layer_shapes"]
+
+
+def add_unknown_config_key(manifest):
+    manifest["config"]["bogus"] = 1
+
+
+def drop_meta(manifest):
+    del manifest["meta"]
+
+
+@pytest.mark.parametrize("case, message", [
+    ("layer-shapes-disagree", "layer_shapes [[2, 32], [4, 32]] disagree with the tensors' "
+                              "[(4, 32), (4, 32)]"),
+    ("layer-shapes-missing", "KeyError: 'layer_shapes'"),
+    ("config-unknown-key", "'bogus'"),
+    ("meta-missing", "KeyError: 'meta'"),
+    ("short-wk", "tensor layers.0.attn.wk has shape [24, 32], expected [32, 32]"),
+    ("dataset-without-train", "dataset needs a 'train' and an 'eval' item list"),
+], ids=["layer-shapes-disagree", "layer-shapes-missing", "config-unknown-key", "meta-missing",
+        "short-wk", "dataset-without-train"])
+def test_malformed_checkpoint_or_dataset_is_config_error(workspace, tmp_path, capsys,
+                                                         case, message):
+    ckpt, data, out = tmp_path / "m.ckpt", tmp_path / "d.json", tmp_path / "ev.json"
+    ckpt.write_bytes(workspace["teacher"].read_bytes())
+    data.write_bytes(workspace["data"].read_bytes())
+    if case == "short-wk":
+        model, _ = C.load(ckpt)
+        model.layers[0].wk.data = model.layers[0].wk.data[:24]
+        C.save(model, ckpt)
+    elif case == "dataset-without-train":
+        payload = json.loads(data.read_text())
+        del payload["train"]
+        data.write_text(json.dumps(payload))
+    else:
+        edit_manifest(ckpt, {"layer-shapes-disagree": halve_first_block_heads,
+                             "layer-shapes-missing": drop_layer_shapes,
+                             "config-unknown-key": add_unknown_config_key,
+                             "meta-missing": drop_meta}[case])
+    code = run(["evaluate", "--ckpt", str(ckpt), "--data", str(data), "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_fraction_leaving_no_training_items_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "split.ini"
+    cfg.write_text("[data]\nn = 30\neval_fraction = 1.5\n")
+    out = tmp_path / "d.json"
+    assert run(["generate-data", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "eval_fraction 1.5" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -67,6 +67,14 @@ def test_size_validation():
         D.generate_dataset(task_mix=("bogus",), n=100)
 
 
+@pytest.mark.parametrize("fraction", [0.0, -0.2, 0.99, 1.0, 1.5])
+def test_eval_fraction_must_leave_every_task_a_training_item(fraction):
+    with pytest.raises(ParameterError, match="eval_fraction"):
+        D.generate_dataset(n=30, seed=0, eval_fraction=fraction)
+    train, evals = D.generate_dataset(n=30, seed=0, eval_fraction=0.9)
+    assert (len(train), len(evals)) == (3, 27)
+
+
 def test_dataset_file_roundtrip_and_byte_stability(tmp_path):
     train, evals = D.generate_dataset(n=120, seed=4)
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

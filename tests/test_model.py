@@ -197,6 +197,23 @@ def test_config_validation():
         ModelConfig(n_layers=0)
 
 
+@pytest.mark.parametrize("name, cut, message", [
+    ("layers.0.attn.wk", np.s_[:56],
+     "tensor layers.0.attn.wk has shape [56, 64], expected [64, 64]"),
+    ("layers.1.mlp.down", np.s_[:, :64],
+     "tensor layers.1.mlp.down has shape [64, 64], expected [64, 128]"),
+    ("layers.1.attn.wq", np.s_[:0], "block 1 has 0 heads and 128 MLP channels"),
+    ("layers.0.mlp.up", np.s_[:0], "block 0 has 8 heads and 0 MLP channels"),
+], ids=["short-wk", "narrow-down", "zero-row-wq", "zero-row-up"])
+def test_from_arrays_rejects_weights_that_disagree_with_the_block_widths(name, cut, message):
+    model = M.init(ModelConfig(n_layers=2), seed=0)
+    arrays = {n: p.data for n, p in model.named_parameters()}
+    arrays[name] = arrays[name][cut]
+    with pytest.raises(ParameterError) as exc:
+        M.from_arrays(model.config, arrays)
+    assert message in str(exc.value)
+
+
 # ------------------------------------------------------- partition
 
 def test_param_partition_projector_has_two_weights_two_biases():
