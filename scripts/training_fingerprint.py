@@ -17,7 +17,11 @@ checkpoint see only values; the one-item logits also see the memory layout
 of the pruned weights. The same line carries the per-layer shapes of the
 model that checkpoint reloads into, which are read off its tensors, and the
 SHA-256 of the reloaded model's per-bucket logits. Last comes the SHA-256 of
-the training and pruning lines.
+the training and pruning lines. After it comes one line with the signed
+`group_scale_sensitivity` of the first attention-head group and the first
+MLP-channel group of block 0 (floats at full precision), computed on the
+teacher copy right after its Taylor scoring, while that copy still holds the
+gradients of the scoring's last backward.
 Two source trees resolve configs, train and prune bit-identically when their
 outputs are equal:
 
@@ -110,6 +114,8 @@ def main():
     pruned = teacher.copy()
     groups = I.build_dependency_groups(pruned)
     I.taylor_group_importance(pruned, groups, calib)
+    sensitivity = {g.gid: I.group_scale_sensitivity(pruned, g, calib)
+                   for g in (groups[0], next(g for g in groups if g.kind == "mlp-channel"))}
     width_report = I.group_report(pruned, groups)
     P.execute(pruned, P.plan("widthwise", width_report, 0.2))
     for seed, (name, overrides) in enumerate(RECOVERY_RUNS.items()):
@@ -134,6 +140,7 @@ def main():
     for text in lines:
         print(text)
     print("sha256", hashlib.sha256("\n".join(lines).encode()).hexdigest())
+    print(json.dumps({"run": "scale-sensitivity", **sensitivity}, sort_keys=True))
 
 
 if __name__ == "__main__":

@@ -34,7 +34,6 @@ ANSWER_TOKENS = tuple(range(N_ANSWERS))
 LOOKUP_MARKER = N_ANSWERS
 COUNT_MARKER = N_ANSWERS + 1
 ECHO_MARKER = N_ANSWERS + 2
-MIN_VOCAB = N_ANSWERS + 3
 
 DESCRIPTOR_DIM = N_ANSWERS + N_MARKERS
 
@@ -140,14 +139,32 @@ def _item_to_record(item):
     }
 
 
-def _record_to_item(rec):
-    return Triplet(
-        x_v=encode_descriptor(rec["task"], rec["meta"]),
-        x_p=tuple(rec["prompt"]),
-        x_r=tuple(rec["response"]),
-        task=rec["task"],
-        meta=rec["meta"],
-    )
+def _ids(value, n=float("inf")):
+    """True for a list of ints in [0, n)."""
+    return isinstance(value, list) and all(type(v) is int and 0 <= v < n for v in value)
+
+
+# per task, the meta fields its descriptor and answer are rebuilt from, with their id range
+_META_FIELDS = {"visual-lookup": {"slot": N_ANSWERS}, "visual-count": {"markers": N_MARKERS},
+                "prompt-echo": {"payload": N_ANSWERS, "markers": N_MARKERS}}
+
+
+def _record_to_item(rec, where):
+    """The Triplet of one dataset record; ParameterError names `where` and its
+    first bad field."""
+    task = rec.get("task") if isinstance(rec, dict) else None
+    if task not in TASKS:
+        raise ParameterError(f"{where}: unknown task {task!r}")
+    meta = rec["meta"] if isinstance(rec.get("meta"), dict) else {}
+    for key, n in _META_FIELDS[task].items():
+        ids = meta.get(key) if key == "markers" else [meta.get(key)]  # markers: distinct ids
+        if not _ids(ids, n) or len(set(ids)) < len(ids):
+            raise ParameterError(f"{where}: meta field {key!r} is missing or invalid")
+    for key in ("prompt", "response"):
+        if not _ids(rec.get(key)) or not rec[key]:
+            raise ParameterError(f"{where}: {key!r} must be a nonempty list of token ids")
+    return Triplet(x_v=encode_descriptor(task, meta), x_p=tuple(rec["prompt"]),
+                   x_r=tuple(rec["response"]), task=task, meta=meta)
 
 
 def save_dataset(path, train, evals, seed=None):
@@ -172,9 +189,8 @@ def load_dataset(path):
             f"this build's {DESCRIPTOR_DIM}")
     if not all(isinstance(payload.get(pool), list) for pool in ("train", "eval")):
         raise ParameterError(f"{path}: dataset needs a 'train' and an 'eval' item list")
-    train = [_record_to_item(r) for r in payload["train"]]
-    evals = [_record_to_item(r) for r in payload["eval"]]
-    return train, evals
+    return tuple([_record_to_item(rec, f"{path}: {pool} record {i}")
+                  for i, rec in enumerate(payload[pool])] for pool in ("train", "eval"))
 
 
 def draw_calibration(pool, n=10, seed=0):

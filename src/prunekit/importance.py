@@ -207,8 +207,6 @@ def _add_abs_item_grads(model, items, weights, sums):
     """One forward and one backward over a layout chunk; adds sum_i |g_i^T x_i|
     of each grouped linear to sums[name] in float64. The chunk's tape is freed
     when this returns, before the next chunk's is built."""
-    for _, p in model.named_parameters():
-        p.grad = None
     trace = M.forward(model, items, capture=None)
     # the chunk shares n_response, so B x the row mean is the sum of item losses
     loss = T.scale(M.response_loss(trace, items), len(items))
@@ -247,8 +245,6 @@ def taylor_group_importance(model, groups, calib):
     sums = {name: np.zeros(w.data.shape) for name, w in weights.items()}
     for idx in M.layout_buckets(calib, size=TAYLOR_CHUNK_SIZE):
         _add_abs_item_grads(model, [calib[i] for i in idx], weights, sums)
-    for _, p in model.named_parameters():
-        p.grad = None
     acc = np.zeros(len(groups))
     for (name, axis), (starts, stops, owners) in plan.items():
         per_index = (sums[name] * np.abs(weights[name].data)).sum(axis=1 - axis)
@@ -278,8 +274,6 @@ def group_scale_sensitivity(model, group, calib):
     total = 0.0
     for idx in M.layout_buckets(calib):
         items = [calib[i] for i in idx]
-        for _, p in model.named_parameters():
-            p.grad = None
         trace = M.forward(model, items, capture=None)
         T.backward(T.scale(M.response_loss(trace, items), len(items)))
         del trace
@@ -287,8 +281,6 @@ def group_scale_sensitivity(model, group, calib):
             p = by_name[sl.param]
             if p.grad is not None:
                 total += float((sl.take(p.grad) * sl.take(p.data)).sum())
-    for _, p in model.named_parameters():
-        p.grad = None
     return total / len(calib)
 
 

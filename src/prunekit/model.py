@@ -321,13 +321,15 @@ def forward(model, items, capture="all"):
         if x.size != cfg.d_descriptor:
             raise ParameterError(
                 f"descriptor width {x.size} does not match d_descriptor={cfg.d_descriptor}")
+    text_ids = [t for it in items for t in (*it.x_p, *it.x_r)]
+    if not all(0 <= t < cfg.vocab_size for t in text_ids):
+        raise ParameterError(f"forward: a token id is outside [0, vocab_size={cfg.vocab_size})")
     B, n_text = len(items), layout.n_prompt + layout.n_response
     xv = Tensor(np.stack(descriptors))
     feats = T.reshape(T.linear(xv, model.vision_w), (B * cfg.n_visual_tokens, cfg.d_vision))
     p1 = T.add(T.linear(feats, model.proj_w1), model.proj_b1)
     visual = T.add(T.linear(T.gelu(p1), model.proj_w2), model.proj_b2)
 
-    text_ids = [t for it in items for t in (*it.x_p, *it.x_r)]
     text = T.embedding_lookup(model.embed, text_ids)
     d = cfg.d_model
     h = T.concat_rows([T.reshape(visual, (B, cfg.n_visual_tokens, d)),

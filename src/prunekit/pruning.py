@@ -205,5 +205,4 @@ def _execute_widthwise(model, prune_plan):
         # np.delete along axis 1 can return an F-ordered array; matmul rounds
         # differently on it than on the C-ordered copy a checkpoint reloads
         p.data = np.ascontiguousarray(np.delete(p.data, doomed, axis=axis))
-        p.grad = None
     return log

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import data as D
 from . import model as M
 from . import tensor as T
 from .tensor import GraphError, ParameterError, Tensor
@@ -144,14 +145,11 @@ def kd_logits_loss(student_trace, teacher_trace, tau, direction):
     if student_trace.logits.shape != teacher_trace.logits.shape:
         raise GraphError("student and teacher logits have different shapes")
     rows_s = M.response_rows(student_trace, student_trace.logits)
-    t_logits = M.response_rows(teacher_trace, teacher_trace.logits).data / tau
-    t_logits = t_logits - t_logits.max(axis=1, keepdims=True)
-    t_logp = t_logits - np.log(np.exp(t_logits).sum(axis=1, keepdims=True))
-    t_p = np.exp(t_logp)
-
+    rows_t = M.response_rows(teacher_trace, teacher_trace.logits).data
+    t_logp = T.log_softmax(Tensor(rows_t), temperature=tau).data
     logp_s = T.log_softmax(rows_s, temperature=tau)
     if direction == "kl":
-        terms = T.mul(Tensor(t_p), T.sub(Tensor(t_logp), logp_s))
+        terms = T.mul(Tensor(np.exp(t_logp)), T.sub(Tensor(t_logp), logp_s))
     else:
         p_s = T.exp(logp_s)
         terms = T.mul(p_s, T.sub(logp_s, Tensor(t_logp)))
@@ -245,10 +243,6 @@ class Sgd:
         self.momentum = momentum
         self.velocity = {n: np.zeros_like(p.data) for n, p in self.named_params}
 
-    def zero_grad(self):
-        for _, p in self.named_params:
-            p.grad = None
-
     def step(self, grad_scale=1.0):
         for n, p in self.named_params:
             if p.grad is None:
@@ -266,11 +260,7 @@ def subsample(pool, fraction, seed):
     """Seeded, sorted subsample of round(fraction * n) items (at least 1)."""
     if not (0.0 < fraction <= 1.0):
         raise ParameterError("data_fraction must be in (0, 1]")
-    n = len(pool)
-    k = max(1, int(round(fraction * n)))
-    rng = np.random.default_rng(seed)
-    idx = sorted(rng.permutation(n)[:k].tolist())
-    return [pool[i] for i in idx]
+    return D.draw_calibration(pool, max(1, round(fraction * len(pool))), seed)
 
 
 def _trainable_params(student, lora_adapters):
@@ -357,7 +347,6 @@ def _fit(model, params, data, run, lr_at, losses, cache=None, clip=None,
             targets = None if cache is None else [cache[i] for i in idx]
 
             opt.lr = lr_at(step)
-            opt.zero_grad()
             terms = _backward_step(model, [data[i] for i in idx], targets, losses, step)
             grad_scale = 1.0
             if clip is not None:
@@ -383,14 +372,11 @@ def train(student, teacher, pool, config, eval_fn=None):
     positive, once per distinct item of the subsample before the first step;
     every step that draws the item reuses those outputs. Scope "projector"
     updates the projector alone; "joint" adds LoRA adapters on the attention
-    q/v projections, merged into the base weights on completion. Only
-    scope-selected parameters change.
+    q/v projections, merged into the base weights on completion and dropped
+    unmerged if the run raises. Only scope-selected parameters change.
     """
     if not pool:
         raise ParameterError("train: empty data pool")
-    for item in pool:
-        if len(item.x_r) == 0:
-            raise ParameterError("train: item with empty response")
     needs_teacher = config.beta > 0 or config.gamma > 0
     if needs_teacher and teacher is None:
         raise ParameterError("beta/gamma > 0 requires a teacher")
@@ -407,8 +393,12 @@ def train(student, teacher, pool, config, eval_fn=None):
     if config.scope == "joint":
         adapters = attach_lora(student, config.lora, seed=config.seed)
     params = _trainable_params(student, adapters)
-    history = _fit(student, params, data, config, lambda step: config.lr, losses=config,
-                   cache=cache, eval_fn=eval_fn, eval_every=config.eval_every)
+    try:
+        history = _fit(student, params, data, config, lambda step: config.lr, losses=config,
+                       cache=cache, eval_fn=eval_fn, eval_every=config.eval_every)
+    except BaseException:
+        student.lora.clear()
+        raise
     if adapters:
         merge_lora(student)
     return history

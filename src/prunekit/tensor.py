@@ -584,10 +584,10 @@ def l2_norm(x):
 
 
 def backward(loss, retain=()):
-    """Populate .grad of every requires_grad leaf reachable from a scalar loss.
+    """Set .grad of each requires_grad leaf a scalar loss reaches to d loss / d leaf,
+    overwriting it: .grad is the last backward's gradient; off-tape tensors keep theirs.
 
-    retain: non-leaf tensors whose gradient is kept in their .grad as well,
-    like PyTorch's retain_grad; one off the loss's tape keeps .grad None.
+    retain: non-leaf tensors whose .grad is set as well, like PyTorch's retain_grad.
     """
     if loss.data.size != 1:
         raise GraphError(f"backward: root must be scalar, got shape {loss.data.shape}")
@@ -617,6 +617,6 @@ def backward(loss, retain=()):
             continue
         if node._backward is None or nid in kept:
             if node.requires_grad:
-                node.grad = g if node.grad is None else node.grad + g
+                node.grad = g
         if node._backward is not None:
             node._backward(g, push)

@@ -161,6 +161,30 @@ def test_malformed_checkpoint_or_dataset_is_config_error(workspace, tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["train-record-without-task", "lookup-meta-without-slot",
+                                  "vocab-below-token-ids"])
+def test_malformed_dataset_item_or_small_vocab_is_config_error(workspace, tmp_path, capsys,
+                                                              case):
+    cfg, data, out = tmp_path / "c.ini", tmp_path / "d.json", tmp_path / "t.ckpt"
+    cfg.write_text(workspace["cfg"].read_text())
+    payload = json.loads(workspace["data"].read_text())
+    if case == "train-record-without-task":
+        del payload["train"][0]["task"]
+        message = "train record 0: unknown task None"
+    elif case == "lookup-meta-without-slot":
+        i = next(i for i, r in enumerate(payload["eval"]) if r["task"] == "visual-lookup")
+        del payload["eval"][i]["meta"]["slot"]
+        message = f"eval record {i}: meta field 'slot' is missing or invalid"
+    else:  # the toy tasks' marker tokens are ids 32 to 34
+        cfg.write_text(cfg.read_text().replace("vocab_size = 40", "vocab_size = 32"))
+        message = "token id is outside [0, vocab_size=32)"
+    data.write_text(json.dumps(payload))
+    code = run(["train-teacher", "--config", str(cfg), "--data", str(data), "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_fraction_leaving_no_training_items_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "split.ini"
     cfg.write_text("[data]\nn = 30\neval_fraction = 1.5\n")

@@ -23,13 +23,22 @@ from prunekit.pruning import Floors, InfeasiblePlanError, PlanModelMismatchError
 from conftest import quick_sgd, zero_group
 
 
-def scored_model(seed=11, train_steps=120):
-    """Reference toy model with mild training so importances are structured."""
+@functools.lru_cache(maxsize=None)
+def trained_model(seed, train_steps):
+    """Reference toy model with mild training so importances are structured;
+    trained once per (seed, train_steps), so callers copy it."""
     model = M.init(ModelConfig(), seed=seed)
     train, _ = D.generate_dataset(n=240, seed=seed)
     quick_sgd(model, train, steps=train_steps, lr=0.1, seed=seed)
     calib = D.draw_calibration(train, n=6, seed=1)
     return model, calib, train
+
+
+def scored_model(seed=11, train_steps=120):
+    """Copies of the cached trained_model, its calibration set and pool:
+    several tests prune the model in place."""
+    model, calib, train = trained_model(seed, train_steps)
+    return model.copy(), list(calib), list(train)
 
 
 def width_report(model, calib):

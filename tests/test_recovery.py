@@ -389,6 +389,34 @@ def test_train_divergence_aborts_with_step_index(entry):
     assert requires_grad_flags(student) == flags
 
 
+def test_diverged_joint_run_drops_its_adapters_unmerged(rng):
+    model = M.init(ModelConfig(), seed=2)
+    model.head_w.data[...] = rng.standard_normal(model.head_w.data.shape) * 0.1
+    pool, _ = D.generate_dataset(n=30, seed=5)
+    before = {n: p.data.copy() for n, p in model.named_parameters()}
+    cfg = RecoveryConfig(alpha=1.0, scope="joint", lr=0.05, steps=10, batch_size=4,
+                         seed=1, eval_every=1)
+
+    def poison(m):  # once the adapters have moved, make the next step diverge
+        if any(ad.b.data.any() for ad in m.lora.values()):
+            m.proj_w1.data[0, 0] = np.nan
+        return 0.0
+
+    with pytest.raises(TrainingDivergedError):
+        R.train(model, None, pool, cfg, eval_fn=poison)
+    assert model.lora == {}
+    projector = set(M.param_partition(model)["projector"])
+    for name, p in model.named_parameters():
+        if name in projector:  # moved by the steps before the divergence
+            p.data[...] = before[name]
+        assert p.data.tobytes() == before[name].tobytes(), name  # nothing merged
+    with T.no_grad():  # the forward runs on the base weights alone
+        assert (M.forward(model, pool[0]).logits.data.tobytes()
+                == M.forward(model.copy(), pool[0]).logits.data.tobytes())
+    R.train(model, None, pool, RecoveryConfig(alpha=1.0, scope="joint", steps=2, batch_size=4))
+    assert model.lora == {}
+
+
 @pytest.mark.parametrize("entry", ["train", "train_teacher"])
 def test_eval_metric_recorded_exactly_every_eval_every_steps(entry):
     model = M.init(ModelConfig(), seed=2)
@@ -501,7 +529,6 @@ def recompute_teacher_oracle(student, teacher, pool, config):
             pos = 0
         batch = [data[i] for i in order[pos:pos + config.batch_size]]
         pos += config.batch_size
-        opt.zero_grad()
         sums = [None, None, None]
         for item in batch:
             trace_s = M.forward(student, item)

@@ -148,6 +148,18 @@ def test_backward_fanout_accumulates():
     np.testing.assert_allclose(x.grad, [7.0], rtol=1e-6)
 
 
+def test_second_backward_replaces_grad():
+    # a second backward on another loss replaces .grad; a leaf the second
+    # loss does not reach keeps the first one's gradient
+    x = Tensor([3.0, -1.0], requires_grad=True)
+    y = Tensor([2.0], requires_grad=True)
+    T.backward(T.add(T.sum_all(T.mul(x, x)), T.sum_all(T.mul(y, y))))
+    np.testing.assert_allclose(x.grad, [6.0, -2.0], rtol=1e-6)
+    T.backward(T.scale(T.sum_all(x), 5.0))
+    np.testing.assert_allclose(x.grad, [5.0, 5.0], rtol=1e-6)
+    np.testing.assert_allclose(y.grad, [4.0], rtol=1e-6)
+
+
 def test_backward_rejects_nonscalar_root():
     w = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(GraphError):
