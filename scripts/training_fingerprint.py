@@ -16,12 +16,15 @@ run per layout bucket and then one item at a time. The checksum and the
 checkpoint see only values; the one-item logits also see the memory layout
 of the pruned weights. The same line carries the per-layer shapes of the
 model that checkpoint reloads into, which are read off its tensors, and the
-SHA-256 of the reloaded model's per-bucket logits. Last comes the SHA-256 of
+SHA-256 of the reloaded model's per-bucket logits. Then comes the SHA-256 of
 the training and pruning lines. After it comes one line with the signed
 `group_scale_sensitivity` of the first attention-head group and the first
 MLP-channel group of block 0 (floats at full precision), computed on the
 teacher copy right after its Taylor scoring, while that copy still holds the
-gradients of the scoring's last backward.
+gradients of the scoring's last backward. Last come the plans for that
+scored teacher: one line per mode and target ratio 0.15, 0.3, 0.45 and 0.6
+with the victim ids and the predicted parameter removal, then the
+InfeasiblePlanError text of layerwise 0.9 and of widthwise 0.99.
 Two source trees resolve configs, train and prune bit-identically when their
 outputs are equal:
 
@@ -130,7 +133,8 @@ def main():
     P.execute(deeper, P.plan("widthwise", width_report, 0.55))
     lines.append(pruned_line("widthwise-0.55", deeper, evals))
     shallower = teacher.copy()
-    P.execute(shallower, P.plan("layerwise", I.block_influence(shallower, calib), 0.3))
+    depth_report = I.block_influence(shallower, calib)
+    P.execute(shallower, P.plan("layerwise", depth_report, 0.3))
     lines.append(pruned_line("layerwise-0.3", shallower, evals))
     groups = I.build_dependency_groups(pruned)
     I.taylor_group_importance(pruned, groups, calib)
@@ -141,6 +145,21 @@ def main():
         print(text)
     print("sha256", hashlib.sha256("\n".join(lines).encode()).hexdigest())
     print(json.dumps({"run": "scale-sensitivity", **sensitivity}, sort_keys=True))
+
+    reports = {"layerwise": depth_report, "widthwise": width_report}
+    for mode, report in reports.items():
+        for ratio in (0.15, 0.3, 0.45, 0.6):
+            plan = P.plan(mode, report, ratio)
+            victims = plan.victims if mode == "layerwise" else [g.gid for g in plan.victims]
+            print(json.dumps({"plan": f"{mode}-{ratio}", "victims": victims,
+                              "predicted_params_removed": plan.predicted_params_removed}))
+    for mode, ratio in (("layerwise", 0.9), ("widthwise", 0.99)):
+        try:
+            P.plan(mode, reports[mode], ratio)
+        except P.InfeasiblePlanError as exc:
+            print(json.dumps({"plan": f"{mode}-{ratio}", "infeasible": str(exc)}))
+        else:
+            raise SystemExit(f"{mode} {ratio} was expected to be infeasible")
 
 
 if __name__ == "__main__":

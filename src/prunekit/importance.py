@@ -14,7 +14,7 @@ rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +33,14 @@ TAYLOR_CHUNK_SIZE = 8
 
 class NonFiniteGradientError(RuntimeError):
     """A calibration backward pass produced a non-finite gradient."""
+
+
+# kind -> the (matrix, axis) pairs a group of that kind owns. A group of width
+# w with index k owns indices [k*w, (k+1)*w) along the axis of each matrix.
+GROUP_MEMBERS = {
+    "attention-head": (("attn.wq", 0), ("attn.wk", 0), ("attn.wv", 0), ("attn.wo", 1)),
+    "mlp-channel": (("mlp.up", 0), ("mlp.down", 1)),
+}
 
 
 @dataclass(frozen=True)
@@ -54,16 +62,19 @@ class PruneGroup:
     kind: str  # "attention-head" | "mlp-channel"
     layer: int
     index: int  # head index or channel index within the layer
-    slices: tuple
+    width: int  # indices owned along each member axis: head_dim for a head, 1 for a channel
     importance: float | None = None
 
     @property
     def gid(self):
         return f"layer{self.layer}.{self.kind}.{self.index}"
 
-    def param_count(self, model):
-        by_name = dict(model.named_parameters())
-        return sum(int(s.take(by_name[s.param].data).size) for s in self.slices)
+    @property
+    def slices(self):
+        """The group's weight slices, one per member matrix of its kind."""
+        lo = self.index * self.width
+        return tuple(Slice(f"layers.{self.layer}.{m}", axis, lo, lo + self.width)
+                     for m, axis in GROUP_MEMBERS[self.kind])
 
 
 @dataclass
@@ -148,36 +159,9 @@ def build_dependency_groups(model):
     groups = []
     hd = model.config.head_dim
     for i, layer in enumerate(model.layers):
-        for h in range(layer.n_heads):
-            lo, hi = h * hd, (h + 1) * hd
-            groups.append(PruneGroup(
-                kind="attention-head", layer=i, index=h,
-                slices=(
-                    Slice(f"layers.{i}.attn.wq", 0, lo, hi),
-                    Slice(f"layers.{i}.attn.wk", 0, lo, hi),
-                    Slice(f"layers.{i}.attn.wv", 0, lo, hi),
-                    Slice(f"layers.{i}.attn.wo", 1, lo, hi),
-                )))
-        for c in range(layer.d_ffn):
-            groups.append(PruneGroup(
-                kind="mlp-channel", layer=i, index=c,
-                slices=(
-                    Slice(f"layers.{i}.mlp.up", 0, c, c + 1),
-                    Slice(f"layers.{i}.mlp.down", 1, c, c + 1),
-                )))
+        groups += [PruneGroup("attention-head", i, h, hd) for h in range(layer.n_heads)]
+        groups += [PruneGroup("mlp-channel", i, c, 1) for c in range(layer.d_ffn)]
     return groups
-
-
-def slice_plan(groups):
-    """(param, axis) -> (starts, stops, group indices) over every member slice."""
-    plan = {}
-    for gi, group in enumerate(groups):
-        for sl in group.slices:
-            starts, stops, owners = plan.setdefault((sl.param, sl.axis), ([], [], []))
-            starts.append(sl.start)
-            stops.append(sl.stop)
-            owners.append(gi)
-    return {key: tuple(np.asarray(v) for v in lists) for key, lists in plan.items()}
 
 
 def _grouped_linears(loss, weights):
@@ -234,25 +218,25 @@ def taylor_group_importance(model, groups, calib):
     of at most TAYLOR_CHUNK_SIZE items, one forward and one backward per chunk
     of the summed per-item losses, keeping the output gradient of every
     grouped linear. Per matrix, sum_i |g_i^T x_i| accumulates in float64 over
-    the chunks; times |W|, it is summed across the slice axis, and a group's
-    share is then a difference of prefix sums along that axis.
+    the chunks; times |W|, it is summed across the matrix's other axis, and
+    every `width` consecutive indices of the member axis make one group's share.
     """
     if not calib:
         raise ParameterError("taylor importance: empty calibration set")
     by_name = dict(model.named_parameters())
-    plan = slice_plan(groups)
-    weights = {name: by_name[name] for name, _ in plan}
+    widths = {(g.layer, g.kind): g.width for g in groups}
+    members = {(layer, kind): [(f"layers.{layer}.{m}", axis) for m, axis in GROUP_MEMBERS[kind]]
+               for layer, kind in widths}
+    weights = {name: by_name[name] for pairs in members.values() for name, _ in pairs}
     sums = {name: np.zeros(w.data.shape) for name, w in weights.items()}
     for idx in M.layout_buckets(calib, size=TAYLOR_CHUNK_SIZE):
         _add_abs_item_grads(model, [calib[i] for i in idx], weights, sums)
-    acc = np.zeros(len(groups))
-    for (name, axis), (starts, stops, owners) in plan.items():
-        per_index = (sums[name] * np.abs(weights[name].data)).sum(axis=1 - axis)
-        prefix = np.concatenate(([0.0], np.cumsum(per_index)))
-        acc += np.bincount(owners, weights=prefix[stops] - prefix[starts],
-                           minlength=len(groups))
-    for gi, group in enumerate(groups):
-        group.importance = float(acc[gi] / len(calib))
+    scores = {}
+    for unit, pairs in members.items():
+        scores[unit] = sum((sums[name] * np.abs(weights[name].data)).sum(axis=1 - axis)
+                           .reshape(-1, widths[unit]).sum(axis=1) for name, axis in pairs)
+    for group in groups:
+        group.importance = float(scores[group.layer, group.kind][group.index] / len(calib))
     return groups
 
 

@@ -9,12 +9,13 @@ physically removed so weight matrices become genuinely smaller dense arrays.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
 from .accounting import decoder_param_count, group_param_count, layer_param_count, shape_of
-from .importance import BlockInfluenceReport, GroupImportanceReport, slice_plan
+from .importance import GROUP_MEMBERS, BlockInfluenceReport, GroupImportanceReport
 from .tensor import ParameterError
 
 
@@ -60,11 +61,6 @@ class PruneResult:
                 for e in self.surgery_log]
 
 
-def _check_ratio(ratio):
-    if not (0.0 < ratio < 1.0):
-        raise ParameterError(f"target ratio must be in (0,1), got {ratio}")
-
-
 def plan(mode, report, target_ratio, floors=Floors()):
     """Build a PrunePlan from an importance report.
 
@@ -75,85 +71,64 @@ def plan(mode, report, target_ratio, floors=Floors()):
     ascending importance with ties broken by (layer, kind, index), respecting
     per-layer floors.
 
-    A zero target yields an empty (no-op) plan; the CLI rejects 0 upfront.
+    Both modes run one greedy pass over (victim, unit, size) candidates in
+    importance order: a candidate is taken while the removal is short of the
+    target and its unit keeps more than its floor. A layerwise unit is one
+    layer (floor 0, or 1 for the final layer); a widthwise unit is one
+    layer's heads or channels. A zero target takes nothing; the CLI rejects 0
+    upfront.
     """
+    if not 0.0 <= target_ratio < 1.0:
+        raise ParameterError(f"target ratio must be in [0,1), got {target_ratio}")
     shape = report.shape
     total = decoder_param_count(shape)
-    if target_ratio == 0:
-        target_ratio, victims, removed = 0.0, [], 0
+    if mode == "layerwise":
+        if not isinstance(report, BlockInfluenceReport):
+            raise ParameterError("layerwise planning needs a BlockInfluenceReport")
+        last = shape.n_layers - 1
+        floor = {i: int(i == last) for i in range(shape.n_layers)}
+        remaining = dict.fromkeys(floor, 1)
+        candidates = [(i, i, layer_param_count(shape, shape.layers[i])) for i in report.ranking]
+        blocked, position = "(final layer protected)", None
+    elif mode == "widthwise":
+        if not isinstance(report, GroupImportanceReport):
+            raise ParameterError("widthwise planning needs a GroupImportanceReport")
+        if any(g.importance is None for g in report.groups):
+            raise ParameterError("widthwise planning needs importances filled in")
+        min_ch = floors.resolved_channels(shape.head_dim)
+        if floors.min_heads < 1 or min_ch < 1:
+            raise ParameterError("floors must retain at least one head and one channel")
+        remaining = {}
+        for i, l in enumerate(shape.layers):
+            remaining[i, "attention-head"], remaining[i, "mlp-channel"] = l.n_heads, l.d_ffn
+        floor_of = {"attention-head": floors.min_heads, "mlp-channel": min_ch}
+        floor = {unit: floor_of[unit[1]] for unit in remaining}
+        order = sorted(report.groups, key=lambda g: (g.importance, g.layer, g.kind, g.index))
+        sizes = {kind: group_param_count(shape, kind) for kind in GROUP_MEMBERS}
+        candidates = [(g, (g.layer, g.kind), sizes[g.kind]) for g in order]
+        blocked = f"under floors (min {floors.min_heads} heads, {min_ch} channels per layer)"
+        position = attrgetter("layer", "kind", "index")
     else:
-        _check_ratio(target_ratio)
-        if mode == "layerwise":
-            if not isinstance(report, BlockInfluenceReport):
-                raise ParameterError("layerwise planning needs a BlockInfluenceReport")
-            victims, removed = _plan_layerwise(report, target_ratio, total)
-        elif mode == "widthwise":
-            if not isinstance(report, GroupImportanceReport):
-                raise ParameterError("widthwise planning needs a GroupImportanceReport")
-            victims, removed = _plan_widthwise(report, target_ratio, total, floors)
-        else:
-            raise ParameterError(f"unknown prune mode {mode!r}")
-    return PrunePlan(mode=mode, target_ratio=target_ratio, victims=victims,
+        raise ParameterError(f"unknown prune mode {mode!r}")
+
+    budget = target_ratio * total
+    victims = []
+    removed = 0
+    for victim, unit, size in candidates:
+        if removed >= budget:
+            break
+        if remaining[unit] > floor[unit]:
+            remaining[unit] -= 1
+            victims.append(victim)
+            removed += size
+    if removed < budget:
+        raise InfeasiblePlanError(
+            f"{mode} target {target_ratio:.2f} unreachable {blocked}; "
+            f"max achievable ratio {removed / total:.4f}")
+    return PrunePlan(mode=mode, target_ratio=target_ratio,
+                     victims=sorted(victims, key=position),
                      predicted_params_removed=removed, decoder_params=total,
                      fingerprint=tuple((l.n_heads, l.d_ffn) for l in shape.layers))
-
-
-def _plan_layerwise(report, target_ratio, total):
-    """(victim layer indices, parameters removed)."""
-    shape = report.shape
-    budget = target_ratio * total
-    sizes = [layer_param_count(shape, l) for l in shape.layers]
-    removed = 0
-    victims = []
-    last = shape.n_layers - 1
-    for layer in report.ranking:
-        if removed >= budget:
-            break
-        if layer == last:
-            continue
-        victims.append(layer)
-        removed += sizes[layer]
-    if removed < budget:
-        raise InfeasiblePlanError(
-            f"layerwise target {target_ratio:.2f} unreachable (final layer protected); "
-            f"max achievable ratio {removed / total:.4f}")
-    return sorted(victims), removed
-
-
-def _plan_widthwise(report, target_ratio, total, floors):
-    """(victim groups, parameters removed)."""
-    groups = report.groups
-    if any(g.importance is None for g in groups):
-        raise ParameterError("widthwise planning needs importances filled in")
-    shape = report.shape
-    budget = target_ratio * total
-    min_ch = floors.resolved_channels(shape.head_dim)
-    if floors.min_heads < 1 or min_ch < 1:
-        raise ParameterError("floors must retain at least one head and one channel")
-
-    remaining = {i: {"attention-head": l.n_heads, "mlp-channel": l.d_ffn}
-                 for i, l in enumerate(shape.layers)}
-    floor_of = {"attention-head": floors.min_heads, "mlp-channel": min_ch}
-
-    order = sorted(groups, key=lambda g: (g.importance, g.layer, g.kind, g.index))
-    victims = []
-    removed = 0
-    for g in order:
-        if removed >= budget:
-            break
-        slot = remaining[g.layer]
-        if slot[g.kind] - 1 < floor_of[g.kind]:
-            continue
-        slot[g.kind] -= 1
-        victims.append(g)
-        removed += group_param_count(shape, g.kind)
-    if removed < budget:
-        raise InfeasiblePlanError(
-            f"widthwise target {target_ratio:.2f} unreachable under floors "
-            f"(min {floors.min_heads} heads, {min_ch} channels per layer); "
-            f"max achievable ratio {removed / total:.4f}")
-    victims.sort(key=lambda g: (g.layer, g.kind, g.index))
-    return victims, removed
 
 
 def execute(model, prune_plan):
@@ -184,25 +159,29 @@ def _execute_layerwise(model, prune_plan):
         raise PlanModelMismatchError("plan victim layer index out of range")
     shape = shape_of(model)
     log = [{"victim": f"decoder-layer-{i}",
-            "params_removed": layer_param_count(shape, shape.layers[i]),
-            "detail": asdict(shape.layers[i])}
+            "params_removed": layer_param_count(shape, shape.layers[i])}
            for i in sorted(victims)]
     model.layers = [l for i, l in enumerate(model.layers) if i not in victims]
     return log
 
 
 def _execute_widthwise(model, prune_plan):
-    """Delete every victim's own slices, per (matrix, axis) in one go."""
+    """Delete every victim's rows or columns, per member matrix in one go."""
     shape = shape_of(model)
-    log = [{"victim": g.gid,
-            "params_removed": group_param_count(shape, g.kind),
-            "detail": {s.param: [s.axis, s.start, s.stop] for s in g.slices}}
+    log = [{"victim": g.gid, "params_removed": group_param_count(shape, g.kind)}
            for g in prune_plan.victims]
+    units = {}  # (layer, kind) -> its victim groups
+    for g in prune_plan.victims:
+        units.setdefault((g.layer, g.kind), []).append(g)
     by_name = dict(model.named_parameters())
-    for (name, axis), (starts, stops, _) in slice_plan(prune_plan.victims).items():
-        p = by_name[name]
-        doomed = np.concatenate([np.arange(a, b) for a, b in zip(starts, stops)])
-        # np.delete along axis 1 can return an F-ordered array; matmul rounds
-        # differently on it than on the C-ordered copy a checkpoint reloads
-        p.data = np.ascontiguousarray(np.delete(p.data, doomed, axis=axis))
+    for (layer, kind), unit in units.items():
+        doomed = [g.index for g in unit]
+        for member, axis in GROUP_MEMBERS[kind]:
+            p = by_name[f"layers.{layer}.{member}"]
+            keep = np.ones(p.data.shape[axis], dtype=bool)
+            keep.reshape(-1, unit[0].width)[doomed] = False  # a view: row k is group k
+            # matmul rounds differently on an F-ordered weight (np.delete and
+            # boolean indexing return one for columns) than on the C-ordered
+            # copy a checkpoint reloads
+            p.data = np.ascontiguousarray(np.compress(keep, p.data, axis=axis))
     return log

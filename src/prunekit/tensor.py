@@ -594,6 +594,8 @@ def backward(loss, retain=()):
 
     # Reachable tape nodes, then process in descending creation id: every node
     # is finished before any of its parents, and accumulation order is fixed.
+    # A reached requires_grad leaf drops its old gradient now, so the old and
+    # the new gradient are never held at once.
     seen = {}
     stack = [loss]
     while stack:
@@ -601,6 +603,8 @@ def backward(loss, retain=()):
         if node._id in seen:
             continue
         seen[node._id] = node
+        if node._backward is None and node.requires_grad:
+            node.grad = None
         stack.extend(node._parents)
 
     grads = {loss._id: np.ones_like(loss.data)}

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from prunekit import accounting as A
 from prunekit import data as D
 from prunekit import importance as I
 from prunekit import model as M
@@ -113,23 +114,40 @@ def test_head_group_slice_structure():
     assert len(out_slices) == 3 and all(s.stop - s.start == 16 for s in out_slices)
     assert len(in_slices) == 1 and in_slices[0].stop - in_slices[0].start == 16
     assert in_slices[0].param.endswith("attn.wo")
-    assert head0.param_count(model) == 4 * 16 * 64
+    assert A.group_param_count(A.shape_of(model), head0.kind) == 4 * 16 * 64
 
 
 def test_groups_cover_every_inner_index_once():
-    model = M.init(ModelConfig(), seed=0)
-    groups = I.build_dependency_groups(model)
-    for i, layer in enumerate(model.layers):
-        heads = sorted(g.index for g in groups if g.layer == i and g.kind == "attention-head")
-        chans = sorted(g.index for g in groups if g.layer == i and g.kind == "mlp-channel")
-        assert heads == list(range(layer.n_heads))
-        assert chans == list(range(layer.d_ffn))
-    seen = set()
-    for g in groups:
-        for s in g.slices:
-            key = (s.param, s.axis, s.start, s.stop)
-            assert key not in seen
-            seen.add(key)
+    full = M.init(ModelConfig(), seed=0)
+    ragged = full.copy()
+    groups = I.build_dependency_groups(ragged)
+    for g, score in zip(groups, np.random.default_rng(0).random(len(groups))):
+        g.importance = float(score)
+    P.execute(ragged, P.plan("widthwise", I.group_report(ragged, groups), 0.4))
+    assert len(set(ragged.layer_shapes())) == ragged.n_layers
+    for model in (full, ragged):
+        groups = I.build_dependency_groups(model)
+        for i, layer in enumerate(model.layers):
+            heads = sorted(g.index for g in groups if g.layer == i and g.kind == "attention-head")
+            chans = sorted(g.index for g in groups if g.layer == i and g.kind == "mlp-channel")
+            assert heads == list(range(layer.n_heads))
+            assert chans == list(range(layer.d_ffn))
+        # each kind's slices tile the owned axis of every member matrix exactly
+        spans = {}
+        for g in groups:
+            for s in g.slices:
+                spans.setdefault((g.kind, s.param, s.axis), []).append((s.start, s.stop))
+        assert set(spans) == {(kind, f"layers.{i}.{m}", axis) for i in range(model.n_layers)
+                              for kind, m, axis in (("attention-head", "attn.wq", 0),
+                                                    ("attention-head", "attn.wk", 0),
+                                                    ("attention-head", "attn.wv", 0),
+                                                    ("attention-head", "attn.wo", 1),
+                                                    ("mlp-channel", "mlp.up", 0),
+                                                    ("mlp-channel", "mlp.down", 1))}
+        by_name = dict(model.named_parameters())
+        for (_, name, axis), ranges in spans.items():
+            covered = np.concatenate([np.arange(a, b) for a, b in sorted(ranges)])
+            np.testing.assert_array_equal(covered, np.arange(by_name[name].data.shape[axis]))
 
 
 # ------------------------------------------------------------ taylor importance

@@ -1,6 +1,8 @@
 """Prune planning and surgery: masked-equivalence, conservation, nesting, floors,
-and surgery properties on random feasible victim sets."""
+planner properties on random importances, and surgery properties on random
+feasible victim sets."""
 
+import dataclasses
 import functools
 import os
 import tempfile
@@ -137,6 +139,84 @@ def test_plan_overshoot_bounded_by_one_group():
     d = model.config.d_model
     max_group = 4 * model.config.head_dim * d
     assert 0 <= plan.predicted_params_removed - 0.30 * plan.decoder_params <= max_group
+
+
+@pytest.mark.parametrize("ragged", [False, True], ids=["full", "ragged"])
+@pytest.mark.parametrize("mode", ["layerwise", "widthwise"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_plan_properties_on_random_importances(mode, ragged, data):
+    """The greedy pass, checked from its outcome: floors hold, the removal
+    reaches the budget and falls short of it without the last victim taken,
+    and every candidate ranked before that victim but not taken was held by
+    its floor (the final layer's, in layerwise mode)."""
+    shape = A.shape_of_config(ModelConfig())
+    if ragged:
+        layers = data.draw(st.lists(st.builds(A.LayerShape, st.integers(1, 8),
+                                              st.integers(1, 128)), min_size=1, max_size=6))
+        shape = dataclasses.replace(shape, layers=tuple(layers))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # coarse scores make ties, which (layer, kind, index) breaks
+    coarse = data.draw(st.booleans())
+
+    def scores(n):
+        return rng.integers(0, 4, n) / 4 if coarse else rng.random(n)
+
+    # candidates in rank order: id -> (unit, size); count and floor per unit
+    candidates, count, floor = {}, {}, {}
+    if mode == "layerwise":
+        floors = Floors()
+        report = fake_bi_report(shape, scores(shape.n_layers).tolist())
+        for i in report.ranking:
+            candidates[i] = (i, A.layer_param_count(shape, shape.layers[i]))
+        for i in range(shape.n_layers):
+            count[i], floor[i] = 1, int(i == shape.n_layers - 1)
+    else:
+        floors = Floors(min_heads=data.draw(st.integers(1, 3)),
+                        min_channels=data.draw(st.none() | st.integers(1, 64)))
+        groups = []
+        for i, l in enumerate(shape.layers):
+            for kind, n, width, least in (
+                    ("attention-head", l.n_heads, shape.head_dim, floors.min_heads),
+                    ("mlp-channel", l.d_ffn, 1, floors.resolved_channels(shape.head_dim))):
+                groups += [I.PruneGroup(kind, i, k, width) for k in range(n)]
+                count[i, kind], floor[i, kind] = n, least
+        for g, score in zip(groups, scores(len(groups))):
+            g.importance = float(score)
+        report = I.GroupImportanceReport(groups=groups, shape=shape)
+        for g in sorted(groups, key=lambda g: (g.importance, g.layer, g.kind, g.index)):
+            candidates[g.gid] = ((g.layer, g.kind), A.group_param_count(shape, g.kind))
+
+    total = A.decoder_param_count(shape)
+    ratio = data.draw(st.floats(0.0, 0.99))
+    budget = ratio * total
+    most = sum(max(0, count[u] - floor[u]) * size for u, size in set(candidates.values()))
+    if most < budget:
+        with pytest.raises(InfeasiblePlanError, match=f"max achievable ratio {most / total:.4f}"):
+            P.plan(mode, report, ratio, floors)
+        return
+    plan = P.plan(mode, report, ratio, floors)
+    if mode == "layerwise":
+        taken = plan.victims
+        assert taken == sorted(taken)
+    else:
+        taken = [g.gid for g in plan.victims]
+        assert plan.victims == sorted(plan.victims, key=lambda g: (g.layer, g.kind, g.index))
+    left = dict(count)
+    for v in taken:
+        left[candidates[v][0]] -= 1
+    assert all(left[u] == count[u] or left[u] >= floor[u] for u in count)
+    assert plan.predicted_params_removed == sum(candidates[v][1] for v in taken)
+    assert plan.predicted_params_removed >= budget
+    if not taken:
+        assert budget == 0
+        return
+    ranked = list(candidates)
+    last = max(map({c: r for r, c in enumerate(ranked)}.get, taken))
+    assert plan.predicted_params_removed - candidates[ranked[last]][1] < budget
+    for c in set(ranked[:last]) - set(taken):
+        unit = candidates[c][0]
+        assert left[unit] <= floor[unit]
 
 
 # ---------------------------------------------------------------- execution
@@ -287,7 +367,7 @@ def surgery_base(kind):
 def plan_removing(model, victims):
     """A widthwise plan whose victims are exactly `victims`."""
     shape = A.shape_of(model)
-    removed = sum(g.param_count(model) for g in victims)
+    removed = sum(A.group_param_count(shape, g.kind) for g in victims)
     total = A.decoder_param_count(shape)
     return P.PrunePlan(mode="widthwise", target_ratio=removed / total,
                        victims=sorted(victims, key=lambda g: (g.layer, g.kind, g.index)),

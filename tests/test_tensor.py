@@ -1,6 +1,7 @@
 """Tensor engine: op semantics against naive oracles, gradients against finite differences."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,6 +159,28 @@ def test_second_backward_replaces_grad():
     T.backward(T.scale(T.sum_all(x), 5.0))
     np.testing.assert_allclose(x.grad, [5.0, 5.0], rtol=1e-6)
     np.testing.assert_allclose(y.grad, [4.0], rtol=1e-6)
+
+
+def test_backward_drops_the_old_gradient_before_making_the_new_one():
+    # numpy reports its buffers to tracemalloc: a second backward rises above
+    # what it starts from by one gradient of w less than the first, since w's
+    # old gradient is freed before the new one is allocated
+    w = Tensor(np.ones((1024, 1024)), requires_grad=True)
+
+    def peak_rise(loss):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        T.backward(loss)
+        return tracemalloc.get_traced_memory()[1] - start
+
+    tracemalloc.start()
+    try:
+        first = peak_rise(T.sum_all(T.scale(w, 2.0)))
+        second = peak_rise(T.sum_all(T.scale(w, 3.0)))
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_allclose(w.grad, 3.0)
+    assert second <= first - w.data.nbytes // 2, (first, second)
 
 
 def test_backward_rejects_nonscalar_root():
