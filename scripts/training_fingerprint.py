@@ -18,7 +18,8 @@ of the pruned weights. The same line carries the per-layer shapes of the
 model that checkpoint reloads into, which are read off its tensors, and the
 SHA-256 of the reloaded model's per-bucket logits. Then comes the SHA-256 of
 the training and pruning lines. After it comes one line with the signed
-`group_scale_sensitivity` of the first attention-head group and the first
+scale sensitivity (`group_scale_sensitivity`, a test oracle of
+tests/conftest.py) of the first attention-head group and the first
 MLP-channel group of block 0 (floats at full precision), computed on the
 teacher copy right after its Taylor scoring, while that copy still holds the
 gradients of the scoring's last backward. Last come the plans for that
@@ -35,6 +36,7 @@ import hashlib
 import json
 import os
 import pathlib
+import sys
 import tempfile
 
 from prunekit import checkpoint as C
@@ -48,6 +50,9 @@ from prunekit import recovery as R
 from prunekit import tensor as T
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tests"))
+from conftest import group_scale_sensitivity  # noqa: E402
+
 CONFIG_FILES = ("configs/toy.ini", "tests/every_key.ini")
 SECTIONS = {"model": CFG.model_config, "data": CFG.data_settings,
             "teacher": CFG.teacher_config, "recovery": CFG.recovery_config,
@@ -117,7 +122,7 @@ def main():
     pruned = teacher.copy()
     groups = I.build_dependency_groups(pruned)
     I.taylor_group_importance(pruned, groups, calib)
-    sensitivity = {g.gid: I.group_scale_sensitivity(pruned, g, calib)
+    sensitivity = {g.gid: group_scale_sensitivity(pruned, g, calib)
                    for g in (groups[0], next(g for g in groups if g.kind == "mlp-channel"))}
     width_report = I.group_report(pruned, groups)
     P.execute(pruned, P.plan("widthwise", width_report, 0.2))

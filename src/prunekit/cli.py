@@ -202,7 +202,8 @@ def cmd_recover(args):
         "batch_size": args.batch_size, "seed": child_seed(args.seed, 2),
     }
     rcfg = recovery_config(_load_cfg(args.config), overrides)
-    history = R.train(student, teacher, train, rcfg)
+    history = R.train(student, teacher, train, rcfg,
+                      eval_fn=lambda m: E.evaluate(m, evals).avg)
     strategy = smeta["meta"].get("strategy", "pruned")
     recovery_tag = _recovery_tag(rcfg)
     C.save(student, args.out, meta={

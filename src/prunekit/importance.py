@@ -43,20 +43,6 @@ GROUP_MEMBERS = {
 }
 
 
-@dataclass(frozen=True)
-class Slice:
-    """One dependency-closed weight slice: rows or columns [start, stop) of a matrix."""
-    param: str
-    axis: int
-    start: int
-    stop: int
-
-    def take(self, arr):
-        idx = tuple(slice(self.start, self.stop) if a == self.axis else slice(None)
-                    for a in range(arr.ndim))
-        return arr[idx]
-
-
 @dataclass
 class PruneGroup:
     kind: str  # "attention-head" | "mlp-channel"
@@ -68,13 +54,6 @@ class PruneGroup:
     @property
     def gid(self):
         return f"layer{self.layer}.{self.kind}.{self.index}"
-
-    @property
-    def slices(self):
-        """The group's weight slices, one per member matrix of its kind."""
-        lo = self.index * self.width
-        return tuple(Slice(f"layers.{self.layer}.{m}", axis, lo, lo + self.width)
-                     for m, axis in GROUP_MEMBERS[self.kind])
 
 
 @dataclass
@@ -243,29 +222,6 @@ def taylor_group_importance(model, groups, calib):
 def group_report(model, groups):
     """Wrap scored groups with the model's shape record for the prune planner."""
     return GroupImportanceReport(groups=list(groups), shape=shape_of(model))
-
-
-def group_scale_sensitivity(model, group, calib):
-    """Signed first-order prediction of the loss change from scaling the
-    group's weights: sum over member weights of grad*weight, calibration mean.
-
-    This is the true limit of dLoss/depsilon under w -> (1-eps)w; the Taylor
-    importance (sum of absolute values) upper-bounds its magnitude. The signed
-    sum is linear in the per-item gradients, so each layout bucket needs only
-    the gradient of its summed per-item losses.
-    """
-    by_name = dict(model.named_parameters())
-    total = 0.0
-    for idx in M.layout_buckets(calib):
-        items = [calib[i] for i in idx]
-        trace = M.forward(model, items, capture=None)
-        T.backward(T.scale(M.response_loss(trace, items), len(items)))
-        del trace
-        for sl in group.slices:
-            p = by_name[sl.param]
-            if p.grad is not None:
-                total += float((sl.take(p.grad) * sl.take(p.data)).sum())
-    return total / len(calib)
 
 
 def importance_records(groups):

@@ -180,8 +180,6 @@ def _execute_widthwise(model, prune_plan):
             p = by_name[f"layers.{layer}.{member}"]
             keep = np.ones(p.data.shape[axis], dtype=bool)
             keep.reshape(-1, unit[0].width)[doomed] = False  # a view: row k is group k
-            # matmul rounds differently on an F-ordered weight (np.delete and
-            # boolean indexing return one for columns) than on the C-ordered
-            # copy a checkpoint reloads
-            p.data = np.ascontiguousarray(np.compress(keep, p.data, axis=axis))
+            # C order, like a reloaded checkpoint: matmul rounds F-ordered weights differently
+            p.data = np.compress(keep, p.data, axis=axis)
     return log

@@ -380,6 +380,12 @@ def train(student, teacher, pool, config, eval_fn=None):
     needs_teacher = config.beta > 0 or config.gamma > 0
     if needs_teacher and teacher is None:
         raise ParameterError("beta/gamma > 0 requires a teacher")
+    if config.gamma > 0:
+        for model, role in ((student, "student"), (teacher, "teacher")):
+            n = model.n_layers
+            if not all(-n <= k < n for k in config.match_layers):
+                raise ParameterError(f"match_layers {config.match_layers} out of range "
+                                     f"for the {role}'s {n} blocks")
 
     data = subsample(pool, config.data_fraction, config.seed)
     cache = None

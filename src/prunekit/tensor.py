@@ -32,12 +32,10 @@ __all__ = [
     "scale",
     "matmul",
     "linear",
-    "transpose",
     "reshape",
     "embedding_lookup",
     "rms_norm",
     "gelu",
-    "softmax",
     "log_softmax",
     "exp",
     "cross_entropy",
@@ -46,8 +44,6 @@ __all__ = [
     "slice_rows",
     "concat_rows",
     "sum_all",
-    "mean_all",
-    "l2_norm",
     "backward",
 ]
 
@@ -253,16 +249,6 @@ def linear(x, w):
     return Tensor._from_op(out_data, (x, w), bwd, "linear")
 
 
-def transpose(a):
-    if a.data.ndim != 2:
-        raise DimensionError(f"transpose: expects a 2-D tensor, got {a.data.shape}")
-
-    def bwd(g, push):
-        push(a, g.T)
-
-    return Tensor._from_op(a.data.T.copy(), (a,), bwd, "transpose")
-
-
 def reshape(a, shape):
     shape = tuple(shape)
     if int(np.prod(shape)) != a.data.size:
@@ -328,25 +314,6 @@ def gelu(x):
         push(x, g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * du))
 
     return Tensor._from_op(out_data, (x,), bwd, "gelu")
-
-
-def _softmax_data(xd, temperature, axis):
-    z = xd / temperature
-    z = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
-
-
-def softmax(x, temperature=1.0, axis=-1):
-    if temperature <= 0:
-        raise ParameterError(f"softmax: temperature must be positive, got {temperature}")
-    p = _softmax_data(x.data, temperature, axis)
-
-    def bwd(g, push):
-        dot = (g * p).sum(axis=axis, keepdims=True)
-        push(x, (p * (g - dot)) / temperature)
-
-    return Tensor._from_op(p, (x,), bwd, "softmax")
 
 
 def log_softmax(x, temperature=1.0, axis=-1):
@@ -436,7 +403,8 @@ def causal_attention(q, k, v, n_heads, seq_len=None):
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     s = np.matmul(qh, kh.transpose(0, 2, 1)) * sc
     s[:, _causal_mask(T)] = -np.inf
-    p = _softmax_data(s, 1.0, -1)
+    p = np.exp(s - s.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
     out_data = merge(np.matmul(p, vh))
 
     def bwd(g, push):
@@ -558,29 +526,6 @@ def sum_all(x):
         push(x, np.full_like(x.data, float(g)))
 
     return Tensor._from_op(out_data, (x,), bwd, "sum")
-
-
-def mean_all(x):
-    n = x.data.size
-    out_data = np.asarray(x.data.mean(), dtype=x.data.dtype)
-
-    def bwd(g, push):
-        push(x, np.full_like(x.data, float(g) / n))
-
-    return Tensor._from_op(out_data, (x,), bwd, "mean")
-
-
-def l2_norm(x):
-    out_data = np.asarray(np.sqrt((x.data * x.data).sum()), dtype=x.data.dtype)
-
-    def bwd(g, push):
-        nrm = float(out_data)
-        if nrm == 0.0:
-            push(x, np.zeros_like(x.data))
-        else:
-            push(x, x.data * (float(g) / nrm))
-
-    return Tensor._from_op(out_data, (x,), bwd, "l2_norm")
 
 
 def backward(loss, retain=()):

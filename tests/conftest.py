@@ -1,8 +1,13 @@
-"""Shared oracles and fixtures: finite differences, gradient checks, data helpers."""
+"""Shared oracles and fixtures: finite differences, gradient checks, data helpers,
+and the weight slices of a dependency group with their signed Taylor sensitivity."""
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from prunekit import importance as I
+from prunekit import model as M
 from prunekit import tensor as T
 
 
@@ -58,8 +63,6 @@ def grad_check(build, arrays, step=1e-4, tol=1e-4):
 
 def quick_sgd(model, items, steps, lr, batch=16, momentum=0.9, clip=1.0, seed=0):
     """Minimal seeded SGD loop for test fixtures (independent of the library trainer)."""
-    from prunekit import model as M
-
     params = [(n, p) for n, p in model.named_parameters() if p.requires_grad]
     vel = {n: np.zeros_like(p.data) for n, p in params}
     order_rng = np.random.default_rng(seed)
@@ -89,14 +92,55 @@ def quick_sgd(model, items, steps, lr, batch=16, momentum=0.9, clip=1.0, seed=0)
     return model
 
 
+@dataclass(frozen=True)
+class Slice:
+    """One dependency-closed weight slice: rows or columns [start, stop) of a matrix."""
+    param: str
+    axis: int
+    start: int
+    stop: int
+
+    def take(self, arr):
+        idx = tuple(slice(self.start, self.stop) if a == self.axis else slice(None)
+                    for a in range(arr.ndim))
+        return arr[idx]
+
+
+def group_slices(group):
+    """The group's weight slices, one per member matrix of its kind."""
+    lo = group.index * group.width
+    return tuple(Slice(f"layers.{group.layer}.{m}", axis, lo, lo + group.width)
+                 for m, axis in I.GROUP_MEMBERS[group.kind])
+
+
 def zero_group(model, group):
     """Zero every member slice of a dependency group, in place."""
     by_name = dict(model.named_parameters())
-    for sl in group.slices:
-        arr = by_name[sl.param].data
-        idx = tuple(slice(sl.start, sl.stop) if a == sl.axis else slice(None)
-                    for a in range(arr.ndim))
-        arr[idx] = 0.0
+    for sl in group_slices(group):
+        sl.take(by_name[sl.param].data)[...] = 0.0
+
+
+def group_scale_sensitivity(model, group, calib):
+    """Signed first-order prediction of the loss change from scaling the
+    group's weights: sum over member weights of grad*weight, calibration mean.
+
+    This is the true limit of dLoss/depsilon under w -> (1-eps)w; the Taylor
+    importance (sum of absolute values) upper-bounds its magnitude. The signed
+    sum is linear in the per-item gradients, so each layout bucket needs only
+    the gradient of its summed per-item losses.
+    """
+    by_name = dict(model.named_parameters())
+    total = 0.0
+    for idx in M.layout_buckets(calib):
+        items = [calib[i] for i in idx]
+        trace = M.forward(model, items, capture=None)
+        T.backward(T.scale(M.response_loss(trace, items), len(items)))
+        del trace
+        for sl in group_slices(group):
+            p = by_name[sl.param]
+            if p.grad is not None:
+                total += float((sl.take(p.grad) * sl.take(p.data)).sum())
+    return total / len(calib)
 
 
 @pytest.fixture

@@ -79,7 +79,8 @@ def test_lora_target_the_forward_never_adapts_is_config_error(workspace, tmp_pat
 
 
 @pytest.mark.parametrize("case", ["inspect-calib-0", "prune-calib-0", "recover-steps-0",
-                                  "recover-batch-0", "teacher-batch-0"])
+                                  "recover-batch-0", "teacher-batch-0", "recover-match-9",
+                                  "recover-match-past-pruned-student"])
 def test_bad_run_settings_are_config_errors(workspace, tmp_path, case):
     ws = {k: str(v) for k, v in workspace.items()}
     out = tmp_path / "out"
@@ -98,8 +99,31 @@ def test_bad_run_settings_are_config_errors(workspace, tmp_path, case):
         cfg = tmp_path / "teacher.ini"
         cfg.write_text("[teacher]\nbatch_size = 0\n")
         argv[case] = ["train-teacher", "--config", str(cfg)]
+    if case.startswith("recover-match"):
+        # the teacher has 2 blocks; layerwise 0.4 leaves the student 1
+        student, layer = ws["teacher"], 9
+        if case == "recover-match-past-pruned-student":
+            student, layer = str(tmp_path / "layerwise.ckpt"), 1
+            assert run(["prune", "--ckpt", ws["teacher"], "--data", ws["data"], "--mode",
+                        "layerwise", "--ratio", "0.4", "--calib-size", "2",
+                        "--out", student]) == 0
+        cfg = tmp_path / "match.ini"
+        cfg.write_text(workspace["cfg"].read_text() + f"gamma = 1.0\nmatch_layers = {layer}\n")
+        argv[case] = ["recover", "--student", student, "--teacher", ws["teacher"],
+                      "--config", str(cfg)]
     assert run(argv[case] + common) == cli.EXIT_CONFIG
     assert not out.exists()
+
+
+def test_recover_evaluates_every_eval_every_steps(workspace, tmp_path):
+    cfg = tmp_path / "eval.ini"
+    cfg.write_text(workspace["cfg"].read_text() + "eval_every = 1\n")
+    out = tmp_path / "recovered.ckpt"
+    assert run(["recover", "--student", str(workspace["teacher"]), "--teacher",
+                str(workspace["teacher"]), "--data", str(workspace["data"]),
+                "--config", str(cfg), "--out", str(out), "--steps", "3"]) == 0
+    lines = (tmp_path / "recovered.ckpt.history.txt").read_text().splitlines()
+    assert len(lines) == 3 and all("\teval=" in line for line in lines)
 
 
 def edit_manifest(path, edit):

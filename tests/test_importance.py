@@ -15,7 +15,7 @@ from prunekit import tensor as T
 from prunekit.importance import NonFiniteGradientError
 from prunekit.model import ModelConfig
 
-from conftest import quick_sgd, zero_group
+from conftest import group_scale_sensitivity, group_slices, quick_sgd, zero_group
 
 
 def tiny_config(**kw):
@@ -109,8 +109,8 @@ def test_head_group_slice_structure():
     model = M.init(cfg, seed=0)
     head0 = next(g for g in I.build_dependency_groups(model)
                  if g.kind == "attention-head" and g.layer == 0 and g.index == 0)
-    out_slices = [s for s in head0.slices if s.axis == 0]
-    in_slices = [s for s in head0.slices if s.axis == 1]
+    out_slices = [s for s in group_slices(head0) if s.axis == 0]
+    in_slices = [s for s in group_slices(head0) if s.axis == 1]
     assert len(out_slices) == 3 and all(s.stop - s.start == 16 for s in out_slices)
     assert len(in_slices) == 1 and in_slices[0].stop - in_slices[0].start == 16
     assert in_slices[0].param.endswith("attn.wo")
@@ -135,7 +135,7 @@ def test_groups_cover_every_inner_index_once():
         # each kind's slices tile the owned axis of every member matrix exactly
         spans = {}
         for g in groups:
-            for s in g.slices:
+            for s in group_slices(g):
                 spans.setdefault((g.kind, s.param, s.axis), []).append((s.start, s.stop))
         assert set(spans) == {(kind, f"layers.{i}.{m}", axis) for i in range(model.n_layers)
                               for kind, m, axis in (("attention-head", "attn.wq", 0),
@@ -184,7 +184,7 @@ def per_slice_taylor_oracle(model, groups, calib):
             p.grad = None
         T.backward(M.response_loss(M.forward(model, item, capture=None), item))
         for gi, group in enumerate(groups):
-            for sl in group.slices:
+            for sl in group_slices(group):
                 p = by_name[sl.param]
                 if p.grad is not None:
                     acc[gi] += float(np.abs(sl.take(p.grad) * sl.take(p.data)).sum())
@@ -242,8 +242,8 @@ def test_scale_sensitivity_matches_per_item_loop(rng):
             for k, group in enumerate(picked):
                 want[k] += sum(float((sl.take(by_name[sl.param].grad)
                                       * sl.take(by_name[sl.param].data)).sum())
-                               for sl in group.slices)
-        got = [I.group_scale_sensitivity(model, g, calib) for g in picked]
+                               for sl in group_slices(group))
+        got = [group_scale_sensitivity(model, g, calib) for g in picked]
     np.testing.assert_allclose(got, want / len(calib), rtol=1e-9)
 
 
@@ -271,7 +271,7 @@ def test_scores_ignore_gradients_left_by_an_unrelated_backward(rng):
         I.taylor_group_importance(model, groups, calib)
         model = copy(stale)
         return ([g.importance for g in groups],
-                [I.group_scale_sensitivity(model, g, calib) for g in (groups[0], groups[-1])])
+                [group_scale_sensitivity(model, g, calib) for g in (groups[0], groups[-1])])
 
     assert scores(stale=True) == scores(stale=False)
 
@@ -321,7 +321,7 @@ def test_first_order_scaling_converges():
         I.taylor_group_importance(model, groups, calib)
 
         # strongest scale-sensitivity channel: the cleanest first-order signal
-        sens = {g.gid: I.group_scale_sensitivity(model, g, calib) for g in groups}
+        sens = {g.gid: group_scale_sensitivity(model, g, calib) for g in groups}
         target = max(groups, key=lambda g: abs(sens[g.gid]))
         s = sens[target.gid]
 
@@ -335,7 +335,7 @@ def test_first_order_scaling_converges():
         for eps in (1e-3, 1e-4):
             clone = model.copy()
             by_name = dict(clone.named_parameters())
-            for sl in target.slices:
+            for sl in group_slices(target):
                 arr = by_name[sl.param].data
                 idx = tuple(slice(sl.start, sl.stop) if a == sl.axis else slice(None)
                             for a in range(arr.ndim))
