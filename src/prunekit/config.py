@@ -4,8 +4,9 @@ Sections: [model] ModelConfig, [data] DataSettings, [teacher] TeacherConfig,
 [recovery] RecoveryConfig, [prune] PruneSettings. Each field is one key, of
 the type of its default; a tuple field is a comma list, and a
 dataclass-valued field `f` contributes one key `f_<name>` per field of its
-own (`lora_rank`, `lora_scaling`, `lora_targets`). Every key is optional;
-CLI flags override file values. Unknown sections and keys fail loudly.
+own (`lora_rank`, `lora_scaling`, `lora_targets`). A `seed` field is not a
+key: the CLI derives every seed from its --seed. Every key is optional; CLI
+flags override file values. Unknown sections and keys fail loudly.
 """
 
 from __future__ import annotations
@@ -47,9 +48,11 @@ def comma_list(raw, item=str):
 
 
 def _keys(cls):
-    """{INI key: default} of one section's dataclass."""
+    """{INI key: default} of one section's dataclass; `seed` is not a key."""
     keys = {}
     for f in dataclasses.fields(cls):
+        if f.name == "seed":
+            continue
         if dataclasses.is_dataclass(f.default):
             keys.update({f"{f.name}_{k}": v for k, v in _keys(type(f.default)).items()})
         else:
@@ -81,7 +84,8 @@ def load_config(path):
         values = {}
         for key, raw in parser.items(section):
             if key not in defaults:
-                raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
+                hint = "; --seed sets every seed" if key == "seed" else ""
+                raise ConfigError(f"{path}: unknown key {key!r} in [{section}]{hint}")
             try:
                 values[key] = _parse(defaults[key], raw)
             except ValueError as exc:

@@ -30,7 +30,6 @@ from .tensor import ParameterError
 N_ANSWERS = 32
 N_MARKERS = 8
 
-ANSWER_TOKENS = tuple(range(N_ANSWERS))
 LOOKUP_MARKER = N_ANSWERS
 COUNT_MARKER = N_ANSWERS + 1
 ECHO_MARKER = N_ANSWERS + 2

@@ -91,12 +91,11 @@ BUCKET_SIZE = 32
 
 @dataclass
 class ForwardTrace:
-    """hidden_states[0] is the stream entering block 1; hidden_states[i] the
-    output of block i (1-based); final_normed is the post-norm head input.
+    """hidden_states[0] is the stream entering block 1, hidden_states[i] the
+    output of block i (1-based); every entry is None unless captured.
 
     Every tensor stacks n_items sequences of layout.total rows each."""
     hidden_states: list
-    final_normed: Tensor
     logits: Tensor
     layout: TokenLayout
     n_items: int = 1
@@ -297,9 +296,7 @@ def forward(model, items, capture="all"):
 
     items: one Triplet, or a list of triplets sharing one token layout, which
     run stacked as (B*T, width) rows. A single Triplet is B=1.
-    capture: "all" keeps every per-block hidden state; a list of indices keeps
-    hidden_states[i] only for those i (0 = block-1 input, i = block-i output);
-    None keeps none.
+    capture: "all" keeps every per-block hidden state; None keeps none.
     """
     cfg = model.config
     items = as_items(items)
@@ -315,6 +312,8 @@ def forward(model, items, capture="all"):
             f"sequence of {layout.total} tokens exceeds max_seq_len={cfg.max_seq_len}")
     if layout.n_prompt == 0:
         raise ParameterError("forward: prompt must be nonempty")
+    if capture not in ("all", None):
+        raise ParameterError(f"forward: capture must be 'all' or None, got {capture!r}")
 
     descriptors = [np.asarray(it.x_v, dtype=T.default_dtype()).reshape(-1) for it in items]
     for x in descriptors:
@@ -336,24 +335,14 @@ def forward(model, items, capture="all"):
                        T.reshape(text, (B, n_text, d))], axis=1)
     h = T.reshape(h, (B * layout.total, d))
 
-    if capture == "all":
-        wanted = set(range(model.n_layers + 1))
-    elif capture is None:
-        wanted = set()
-    else:
-        wanted = set(capture)
-    hidden = {}
-    if 0 in wanted:
-        hidden[0] = h
+    keep = capture == "all"
+    states = [h if keep else None]
     for i, layer in enumerate(model.layers):
         h = _block_forward(model, i, layer, h, layout.total)
-        if i + 1 in wanted:
-            hidden[i + 1] = h
+        states.append(h if keep else None)
 
-    final_normed = T.rms_norm(h, model.final_gain, cfg.rms_eps)
-    logits = T.linear(final_normed, model.head_w)
-    states = [hidden.get(i) for i in range(model.n_layers + 1)]
-    return ForwardTrace(states, final_normed, logits, layout, B)
+    logits = T.linear(T.rms_norm(h, model.final_gain, cfg.rms_eps), model.head_w)
+    return ForwardTrace(states, logits, layout, B)
 
 
 def response_loss(trace, items):

@@ -3,9 +3,11 @@ supervised pre-training of that teacher.
 
 Losses: supervised cross-entropy on response tokens, temperature-softened
 logits distillation (forward or reverse KL, scaled by tau^2), and squared-L2
-matching of final-block hidden states. All three are averaged over the rows
-that predict response tokens. The combined objective is
-alpha*sft + beta*logits + gamma*match.
+matching of block outputs (the final block's by default). All three are
+averaged over the rows that predict response tokens. The combined objective
+is alpha*sft + beta*logits + gamma*match. The two distillation losses take
+the frozen teacher's side as plain arrays of those rows: its logits and its
+matched block outputs, computed once per item before the first step.
 
 Both entry points run the same SGD loop (`_fit`): seeded shuffled batches,
 one bucketed forward and backward per step, a finite-loss check, optional
@@ -125,28 +127,23 @@ def sft_loss(student, items):
     return _batch_losses(student, M.as_items(items), None, RecoveryConfig())[0]
 
 
-def _check_layouts(a, b):
-    if a.layout != b.layout or a.n_items != b.n_items:
-        raise GraphError(f"trace layouts differ: {a.n_items} x {a.layout} "
-                         f"vs {b.n_items} x {b.layout}")
-
-
-def kd_logits_loss(student_trace, teacher_trace, tau, direction):
+def kd_logits_loss(student_trace, teacher_logits, tau, direction):
     """Token-averaged divergence between tau-softened response distributions.
 
-    direction "kl" is KL(teacher || student); "rkl" swaps the roles so the
-    student concentrates on the teacher's major modes. Scaled by tau^2.
+    teacher_logits is the teacher's (rows, vocab) array for the response rows
+    of the student trace, in the same order. direction "kl" is
+    KL(teacher || student); "rkl" swaps the roles so the student concentrates
+    on the teacher's major modes. Scaled by tau^2.
     """
     if direction not in ("kl", "rkl"):
         raise ParameterError(f"unknown kd direction {direction!r}")
     if tau <= 0:
         raise ParameterError("tau must be positive")
-    _check_layouts(student_trace, teacher_trace)
-    if student_trace.logits.shape != teacher_trace.logits.shape:
-        raise GraphError("student and teacher logits have different shapes")
     rows_s = M.response_rows(student_trace, student_trace.logits)
-    rows_t = M.response_rows(teacher_trace, teacher_trace.logits).data
-    t_logp = T.log_softmax(Tensor(rows_t), temperature=tau).data
+    if rows_s.shape != teacher_logits.shape:
+        raise GraphError(f"student and teacher response logits differ in shape: "
+                         f"{rows_s.shape} vs {teacher_logits.shape}")
+    t_logp = T.log_softmax(Tensor(teacher_logits), temperature=tau).data
     logp_s = T.log_softmax(rows_s, temperature=tau)
     if direction == "kl":
         terms = T.mul(Tensor(np.exp(t_logp)), T.sub(Tensor(t_logp), logp_s))
@@ -156,48 +153,49 @@ def kd_logits_loss(student_trace, teacher_trace, tau, direction):
     return T.scale(T.sum_all(terms), tau * tau / rows_s.shape[0])
 
 
-def hidden_match_loss(student_trace, teacher_trace, layers=(-1,)):
+def hidden_match_loss(student_trace, teacher_states, layers=(-1,)):
     """Mean over response rows of squared L2 distance between block outputs,
-    averaged over the matched layers (block indices, 0-based; negative ones
-    count from the end). Each trace must have captured its matched blocks."""
-    _check_layouts(student_trace, teacher_trace)
+    averaged over the matched layers. layers[j] is a block index of the
+    student trace (0-based; negative ones count from the end), which must
+    have captured it; teacher_states[j] is the teacher's (rows, d_model)
+    array for that block's response rows."""
     if not layers:
         raise ParameterError("hidden_match_loss: no layers selected")
+    if len(teacher_states) != len(layers):
+        raise GraphError(f"hidden_match_loss: {len(teacher_states)} teacher arrays "
+                         f"for {len(layers)} layers")
+    blocks = student_trace.hidden_states[1:]
     total = None
-    for k in layers:
-        hs = student_trace.hidden_states[1:][k]
-        ht = teacher_trace.hidden_states[1:][k]
-        if hs is None or ht is None:
+    for k, ht in zip(layers, teacher_states):
+        if not -len(blocks) <= k < len(blocks):
+            raise ParameterError(f"hidden_match_loss: block {k} is out of range "
+                                 f"for {len(blocks)} blocks")
+        if blocks[k] is None:
             raise GraphError(f"hidden_match_loss: block {k} was not captured")
-        if hs.shape != ht.shape:
-            raise GraphError(f"matched hidden states differ in shape: {hs.shape} vs {ht.shape}")
-        rows_s = M.response_rows(student_trace, hs)
-        diff = T.sub(rows_s, Tensor(M.response_rows(teacher_trace, ht).data))
+        rows_s = M.response_rows(student_trace, blocks[k])
+        if rows_s.shape != ht.shape:
+            raise GraphError(f"matched hidden states differ in shape: {rows_s.shape} vs {ht.shape}")
+        diff = T.sub(rows_s, Tensor(ht))
         term = T.scale(T.sum_all(T.mul(diff, diff)), 1.0 / rows_s.shape[0])
         total = term if total is None else T.add(total, term)
     return T.scale(total, 1.0 / len(layers))
 
 
-def _teacher_outputs(teacher, items, capture):
-    """Per item, the teacher's [logits, *hidden_states] as arrays of
-    layout.total rows (None where not captured), from one no-grad forward per
-    layout bucket."""
+def _teacher_targets(teacher, items, layers):
+    """Per item, the teacher's [logits, *states] on its response rows:
+    states[j] is the output of block layers[j]. Each is an array of
+    n_response rows, from one no-grad forward per layout bucket."""
     out = [None] * len(items)
     with T.no_grad():
         for idx in M.layout_buckets(items):
-            trace = M.forward(teacher, [items[i] for i in idx], capture=capture)
-            arrays = [None if t is None else t.data.reshape(len(idx), trace.layout.total, -1)
-                      for t in (trace.logits, *trace.hidden_states)]
+            trace = M.forward(teacher, [items[i] for i in idx], capture="all" if layers else None)
+            lo, hi = trace.layout.loss_rows
+            blocks = trace.hidden_states[1:]
+            arrays = [t.data.reshape(len(idx), trace.layout.total, -1)[:, lo:hi].copy()
+                      for t in (trace.logits, *(blocks[k] for k in layers))]
             for j, i in enumerate(idx):
-                out[i] = [None if a is None else a[j] for a in arrays]
+                out[i] = [a[j] for a in arrays]
     return out
-
-
-def _stacked_trace(outputs, layout):
-    """A ForwardTrace of cached teacher outputs of items sharing `layout`."""
-    logits, *states = [None if a is None else Tensor(np.concatenate([o[k] for o in outputs]))
-                       for k, a in enumerate(outputs[0])]
-    return M.ForwardTrace(states, None, logits, layout, len(outputs))
 
 
 # ----------------------------------------------------------------------- LoRA
@@ -276,7 +274,7 @@ def _batch_losses(student, batch, targets, config):
     """Batch means of the SFT, logits-KD and hidden-match losses (None where
     the coefficient is zero): one student forward per layout bucket, each
     bucket weighted by its share of the batch. targets[j] holds the cached
-    teacher outputs of batch[j]."""
+    teacher targets of batch[j]."""
     capture = "all" if config.gamma > 0 else None
     sums = [None, None, None]
     for sub in M.layout_buckets(batch):
@@ -284,11 +282,11 @@ def _batch_losses(student, batch, targets, config):
         trace_s = M.forward(student, bucket, capture=capture)
         terms = [M.response_loss(trace_s, bucket) if config.alpha > 0 else None, None, None]
         if targets is not None:
-            trace_t = _stacked_trace([targets[j] for j in sub], trace_s.layout)
+            logits_t, *states_t = [np.concatenate(rows) for rows in zip(*(targets[j] for j in sub))]
             if config.beta > 0:
-                terms[1] = kd_logits_loss(trace_s, trace_t, config.tau, config.kd_direction)
+                terms[1] = kd_logits_loss(trace_s, logits_t, config.tau, config.kd_direction)
             if config.gamma > 0:
-                terms[2] = hidden_match_loss(trace_s, trace_t, config.match_layers)
+                terms[2] = hidden_match_loss(trace_s, states_t, config.match_layers)
         for k, term in enumerate(terms):
             if term is not None:
                 term = T.scale(term, len(sub) / len(batch))
@@ -322,7 +320,7 @@ def _fit(model, params, data, run, lr_at, losses, cache=None, clip=None,
          eval_fn=None, eval_every=0):
     """The SGD loop of both entry points; updates `params`, returns a
     LossBreakdown. `run` gives steps, batch_size, momentum and seed; `losses`
-    the loss weights; cache[i], if given, the teacher outputs of data[i].
+    the loss weights; cache[i], if given, the teacher targets of data[i].
     Batches are drawn from a seeded permutation of `data`, redrawn when
     exhausted. Other parameters of `model` are frozen for the run, so no tape
     is built for them. With `clip`, gradients are scaled to a global norm of
@@ -370,7 +368,8 @@ def train(student, teacher, pool, config, eval_fn=None):
 
     The teacher is only consulted (read-only, no tape) when beta or gamma is
     positive, once per distinct item of the subsample before the first step;
-    every step that draws the item reuses those outputs. Scope "projector"
+    only its response-row logits and matched block outputs are kept, and
+    every step that draws the item reuses them. Scope "projector"
     updates the projector alone; "joint" adds LoRA adapters on the attention
     q/v projections, merged into the base weights on completion and dropped
     unmerged if the run raises. Only scope-selected parameters change.
@@ -391,10 +390,7 @@ def train(student, teacher, pool, config, eval_fn=None):
     cache = None
     if needs_teacher:
         # The teacher is frozen: one pass per distinct item serves every step.
-        # Only the block outputs that hidden-state matching reads are kept.
-        blocks = range(1, teacher.n_layers + 1)
-        capture = sorted({blocks[k] for k in config.match_layers}) if config.gamma > 0 else None
-        cache = _teacher_outputs(teacher, data, capture)
+        cache = _teacher_targets(teacher, data, config.match_layers if config.gamma > 0 else ())
     adapters = []
     if config.scope == "joint":
         adapters = attach_lora(student, config.lora, seed=config.seed)

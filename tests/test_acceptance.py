@@ -396,11 +396,8 @@ def test_criterion_06_kd_correctness():
             def build(p):
                 rows = T.concat_rows([p[0], p[0]])
                 layout = TokenLayout(n_visual=1, n_prompt=1, n_response=1)
-                s_tr = ForwardTrace([None], rows, rows, layout)
-                t_arr = np.concatenate([lt, lt]).astype(np.float64)
-                t_tensor = Tensor(t_arr)
-                t_tr = ForwardTrace([None], t_tensor, t_tensor, layout)
-                return R.kd_logits_loss(s_tr, t_tr, tau=2.0, direction=direction)
+                s_tr = ForwardTrace([None], rows, layout)
+                return R.kd_logits_loss(s_tr, lt, tau=2.0, direction=direction)
 
             leaves = [Tensor(arrays[0], requires_grad=True)]
             T.backward(build(leaves))

@@ -115,6 +115,18 @@ def test_bad_run_settings_are_config_errors(workspace, tmp_path, case):
     assert not out.exists()
 
 
+def test_recovery_seed_in_a_config_file_is_config_error(workspace, tmp_path, capsys):
+    cfg = tmp_path / "seed.ini"
+    cfg.write_text(workspace["cfg"].read_text() + "seed = 7\n")
+    out = tmp_path / "recovered.ckpt"
+    code = run(["recover", "--student", str(workspace["teacher"]), "--teacher",
+                str(workspace["teacher"]), "--data", str(workspace["data"]),
+                "--config", str(cfg), "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert "--seed sets every seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_recover_evaluates_every_eval_every_steps(workspace, tmp_path):
     cfg = tmp_path / "eval.ini"
     cfg.write_text(workspace["cfg"].read_text() + "eval_every = 1\n")

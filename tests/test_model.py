@@ -331,6 +331,8 @@ def test_forward_rejects_mixed_layouts(rng):
         M.forward(model, items)
     with pytest.raises(ParameterError):
         M.forward(model, [])
+    with pytest.raises(ParameterError, match="capture"):
+        M.forward(model, items[:1], capture=[0, 1])
 
 
 def test_batched_forward_keeps_per_item_checks(rng):

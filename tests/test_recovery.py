@@ -22,26 +22,31 @@ from prunekit.tensor import GraphError, ParameterError, Tensor
 from conftest import rel_err
 
 
-def trace_from_logits(logits, n_prompt=1, n_resp=1, hidden=None):
-    """Minimal trace: rows [0..n) of logits with the last n_resp predicted."""
-    arr = np.asarray(logits, dtype=T.default_dtype())
-    layout = TokenLayout(n_visual=arr.shape[0] - n_prompt - n_resp + 1,
+def trace_from_logits(logits, n_prompt=1, n_resp=1):
+    """Minimal one-item trace over `logits` (a Tensor or an array), whose last
+    n_resp rows predict the response."""
+    t = logits if isinstance(logits, Tensor) else Tensor(logits)
+    layout = TokenLayout(n_visual=t.shape[0] - n_prompt - n_resp + 1,
                          n_prompt=n_prompt, n_response=n_resp)
-    t = Tensor(arr)
-    states = [None] + (hidden if hidden is not None else [])
-    return ForwardTrace(hidden_states=states, final_normed=t, logits=t, layout=layout)
+    return ForwardTrace(hidden_states=[None], logits=t, layout=layout)
+
+
+def teacher_rows(trace, layers=()):
+    """A teacher trace's response-row logits and the response rows of its
+    blocks `layers`, as arrays: the targets the distillation losses take."""
+    def rows(x):
+        return M.response_rows(trace, x).data
+    return rows(trace.logits), [rows(trace.hidden_states[1:][k]) for k in layers]
 
 
 def kd_pair(p_teacher, p_student):
-    """Single-response-token traces with exact probability rows."""
+    """A student trace with exact probability rows and the teacher's
+    response-row logits, for a single response token."""
     lt = np.log(np.asarray(p_teacher, dtype=np.float64))
     ls = np.log(np.asarray(p_student, dtype=np.float64))
-    # two rows: the first predicts the response; second is the response position
-    t_tr = trace_from_logits(np.stack([lt, lt]))
+    # two equal rows, the last of which predicts the response
     s_logits = Tensor(np.stack([ls, ls]).astype(T.default_dtype()), requires_grad=True)
-    s_tr = ForwardTrace(hidden_states=[None], final_normed=s_logits,
-                        logits=s_logits, layout=t_tr.layout)
-    return s_tr, t_tr
+    return trace_from_logits(s_logits), lt[None]
 
 
 # ----------------------------------------------------------------- kd losses
@@ -82,10 +87,8 @@ def test_kd_temperature_scaling_matches_scalar_oracle():
 
     pt, ps = soft(lt), soft(ls)
     expected = tau * tau * float((pt * np.log(pt / ps)).sum())
-    t_tr = trace_from_logits(np.stack([lt, lt]))
-    s_logits = Tensor(np.stack([ls, ls]).astype(T.default_dtype()))
-    s_tr = ForwardTrace([None], s_logits, s_logits, t_tr.layout)
-    got = R.kd_logits_loss(s_tr, t_tr, tau=tau, direction="kl").item()
+    s_tr = trace_from_logits(np.stack([ls, ls]))
+    got = R.kd_logits_loss(s_tr, lt[None], tau=tau, direction="kl").item()
     assert abs(got - expected) < 1e-5
 
 
@@ -95,21 +98,20 @@ def test_kd_gradient_matches_finite_differences():
         ls0 = np.array([[0.2, 0.9, -1.2, 0.05]])
         for direction in ("kl", "rkl"):
             def build(params):
-                rows = T.concat_rows([params[0], params[0]])
-                layout = TokenLayout(n_visual=1, n_prompt=1, n_response=1)
-                s_tr = ForwardTrace([None], rows, rows, layout)
-                t_tr = trace_from_logits(np.concatenate([lt, lt]))
-                return R.kd_logits_loss(s_tr, t_tr, tau=2.0, direction=direction)
+                s_tr = trace_from_logits(T.concat_rows([params[0], params[0]]))
+                return R.kd_logits_loss(s_tr, lt, tau=2.0, direction=direction)
 
             from conftest import grad_check
             grad_check(build, [ls0])
 
 
 def test_kd_layout_mismatch_rejected():
+    """Teacher rows from another layout (two response rows) or another
+    vocabulary do not fit the student's one response row."""
     s, _ = kd_pair([0.5, 0.5], [0.9, 0.1])
-    other = trace_from_logits(np.zeros((3, 2)), n_prompt=2)
-    with pytest.raises(GraphError):
-        R.kd_logits_loss(s, other, tau=1.0, direction="kl")
+    for other in (np.zeros((2, 2)), np.zeros((1, 3))):
+        with pytest.raises(GraphError, match="differ in shape"):
+            R.kd_logits_loss(s, other, tau=1.0, direction="kl")
 
 
 # ---------------------------------------------------------------- hidden match
@@ -119,22 +121,32 @@ def make_state_trace(states, n_prompt=1, n_resp=1):
     tensors = [Tensor(s) for s in states]
     layout = TokenLayout(n_visual=states[0].shape[0] - n_prompt - n_resp + 1,
                          n_prompt=n_prompt, n_response=n_resp)
-    lt = Tensor(logits)
-    return ForwardTrace([None] + tensors, lt, lt, layout)
+    return ForwardTrace([None] + tensors, Tensor(logits), layout)
 
 
 def test_hidden_match_identical_traces_zero(rng):
     h = rng.standard_normal((4, 8)).astype(np.float32)
     a = make_state_trace([h.copy()])
-    b = make_state_trace([h.copy()])
+    _, b = teacher_rows(make_state_trace([h.copy()]), (-1,))
     assert R.hidden_match_loss(a, b, layers=(-1,)).item() == 0.0
 
 
 def test_hidden_match_unit_rows_vs_zero_gives_width():
     d = 8
     student = make_state_trace([np.ones((3, d), dtype=np.float32)])
-    teacher = make_state_trace([np.zeros((3, d), dtype=np.float32)])
+    _, teacher = teacher_rows(make_state_trace([np.zeros((3, d), dtype=np.float32)]), (-1,))
     assert abs(R.hidden_match_loss(student, teacher, layers=(-1,)).item() - d) < 1e-6
+
+
+def test_hidden_match_block_outside_the_trace_is_parameter_error():
+    model = M.init(ModelConfig(n_layers=2), seed=0)
+    item = D.generate_dataset(n=30, seed=0)[0][0]
+    trace = M.forward(model, item, capture="all")
+    _, states = teacher_rows(trace, (-1,))
+    with pytest.raises(ParameterError, match="block 5 is out of range for 2 blocks"):
+        R.hidden_match_loss(trace, states, layers=(5,))
+    with pytest.raises(GraphError, match="1 teacher arrays for 2 layers"):
+        R.hidden_match_loss(trace, states, layers=(0, 1))
 
 
 def test_hidden_match_layer_choice_changes_loss(rng):
@@ -151,8 +163,9 @@ def test_hidden_match_layer_choice_changes_loss(rng):
     with T.no_grad():
         tr_t = M.forward(teacher, item, capture="all")
         tr_s = M.forward(student, item, capture="all")
-    last = R.hidden_match_loss(tr_s, tr_t, layers=(-1,)).item()
-    three = R.hidden_match_loss(tr_s, tr_t, layers=(-3, -2, -1)).item()
+    last = R.hidden_match_loss(tr_s, teacher_rows(tr_t, (-1,))[1], layers=(-1,)).item()
+    three = R.hidden_match_loss(tr_s, teacher_rows(tr_t, (-3, -2, -1))[1],
+                                layers=(-3, -2, -1)).item()
     assert math.isfinite(last) and math.isfinite(three)
     assert last != three
 
@@ -202,7 +215,8 @@ def test_hidden_match_is_zero_after_removing_identity_blocks(blocks):
             tr_s = M.forward(student, batch, capture="all")
             assert tr_s.logits.data.tobytes() == tr_t.logits.data.tobytes()
             for layers in ((-1,), (-2, -1), (-3, -2, -1)):
-                assert R.hidden_match_loss(tr_s, tr_t, layers).item() == 0.0
+                assert R.hidden_match_loss(tr_s, teacher_rows(tr_t, layers)[1],
+                                           layers).item() == 0.0
     # Training reads the teacher cache, made on other buckets: rounding only.
     step = R.train(student, teacher, items, MATCH_RUN).steps[0]
     assert step["l_match"] <= 1e-9
@@ -533,10 +547,10 @@ def recompute_teacher_oracle(student, teacher, pool, config):
         for item in batch:
             trace_s = M.forward(student, item)
             with T.no_grad():
-                trace_t = M.forward(teacher, item)
+                logits_t, states_t = teacher_rows(M.forward(teacher, item), config.match_layers)
             terms = (M.response_loss(trace_s, item),
-                     R.kd_logits_loss(trace_s, trace_t, config.tau, config.kd_direction),
-                     R.hidden_match_loss(trace_s, trace_t, config.match_layers))
+                     R.kd_logits_loss(trace_s, logits_t, config.tau, config.kd_direction),
+                     R.hidden_match_loss(trace_s, states_t, config.match_layers))
             sums = [t if s is None else T.add(s, t) for s, t in zip(sums, terms)]
         sft, logits, match = (T.scale(s, 1.0 / len(batch)) for s in sums)
         match = T.scale(match, 1.0 / student.config.d_model)
@@ -548,12 +562,29 @@ def recompute_teacher_oracle(student, teacher, pool, config):
     return steps
 
 
-def test_teacher_output_cache_matches_recomputing_the_teacher():
+def test_teacher_output_cache_matches_recomputing_the_teacher(monkeypatch):
     teacher, student, pool = small_recovery_setup()
     cfg = RecoveryConfig(alpha=1.0, beta=1.0, gamma=1.0, kd_direction="rkl",
                          match_layers=(-2, -1), scope="projector", data_fraction=0.25,
                          lr=0.02, steps=8, batch_size=5, seed=3)
+    caches = []
+    fit = R._fit
+
+    def spy(*args, cache=None, **kwargs):
+        caches.append(cache)
+        return fit(*args, cache=cache, **kwargs)
+
+    monkeypatch.setattr(R, "_fit", spy)
     history = R.train(student.copy(), teacher, pool, cfg)
+    # Per item, the cache holds its response rows only: the logits, then the
+    # output of each matched block.
+    data = R.subsample(pool, cfg.data_fraction, cfg.seed)
+    (cache,) = caches
+    assert len(cache) == len(data)
+    for item, arrays in zip(data, cache):
+        rows = len(item.x_r)
+        assert [a.shape for a in arrays] == [(rows, teacher.config.vocab_size)] + \
+            [(rows, teacher.config.d_model)] * len(cfg.match_layers)
     oracle = recompute_teacher_oracle(student.copy(), teacher, pool, cfg)
     assert len(history.steps) == len(oracle)
     for step, want in zip(history.steps, oracle):
