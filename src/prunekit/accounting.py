@@ -1,8 +1,11 @@
 """Closed-form parameter and FLOPs accounting over model shape records.
 
 One multiply-accumulate counts as 2 FLOPs. The per-term formulas are listed
-in docs/flops.md; estimates deliberately skip normalization, softmax and
-rotary arithmetic (sub-percent at every shape of interest).
+in docs/flops.md. Estimates skip the attention-times-values product,
+softmax, normalization, rotary, residual and activation arithmetic:
+docs/flops.md counts them at 4.7% of the estimate for a 7-token item of
+the toy shape, 15% at its advisor length of 54 tokens, and 1.2% at the 7B
+reference shape.
 """
 
 from __future__ import annotations

@@ -95,8 +95,9 @@ def _reference_note(mode, recovery, ratio):
             f"retained {pct:.2f}% of the uncompressed average")
 
 
-def recommend(scenario, shape, seq_len=None):
-    """Map a Scenario to exactly one Recommendation for the given shape record."""
+def recommend(scenario, shape):
+    """Map a Scenario to exactly one Recommendation for the given shape record;
+    est_flops is for one sequence of the visual tokens plus 50 text tokens."""
     ratio = scenario.target_ratio
     rationale = []
     if not scenario.can_recover:
@@ -148,10 +149,8 @@ def recommend(scenario, shape, seq_len=None):
         pruned = scale_shape_widthwise(shape, ratio)
     else:
         pruned = scale_shape_layerwise(shape, ratio)
-    if seq_len is None:
-        seq_len = shape.n_visual_tokens + 50
     return Recommendation(
         prune_mode=mode, recovery=recovery, data_fraction=fraction, rule=rule,
         rationale=rationale,
         est_decoder_params=decoder_param_count(pruned),
-        est_flops=float(estimate_flops(pruned, seq_len)))
+        est_flops=float(estimate_flops(pruned, shape.n_visual_tokens + 50)))

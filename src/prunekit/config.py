@@ -2,11 +2,10 @@
 
 Sections: [model] ModelConfig, [data] DataSettings, [teacher] TeacherConfig,
 [recovery] RecoveryConfig, [prune] PruneSettings. Each field is one key, of
-the type of its default; a tuple field is a comma list, and a
-dataclass-valued field `f` contributes one key `f_<name>` per field of its
-own (`lora_rank`, `lora_scaling`, `lora_targets`). A `seed` field is not a
-key: the CLI derives every seed from its --seed. Every key is optional; CLI
-flags override file values. Unknown sections and keys fail loudly.
+the type of its default; a tuple field is a comma list. A `seed` field is
+not a key: the CLI derives every seed from its --seed. Every key is
+optional; CLI flags override file values. Unknown sections and keys fail
+loudly.
 """
 
 from __future__ import annotations
@@ -49,15 +48,7 @@ def comma_list(raw, item=str):
 
 def _keys(cls):
     """{INI key: default} of one section's dataclass; `seed` is not a key."""
-    keys = {}
-    for f in dataclasses.fields(cls):
-        if f.name == "seed":
-            continue
-        if dataclasses.is_dataclass(f.default):
-            keys.update({f"{f.name}_{k}": v for k, v in _keys(type(f.default)).items()})
-        else:
-            keys[f.name] = f.default
-    return keys
+    return {f.name: f.default for f in dataclasses.fields(cls) if f.name != "seed"}
 
 
 def _parse(default, raw):
@@ -101,12 +92,6 @@ def _build(section, cfg, overrides):
     values = dict(cfg.get(section, {}))
     values.update({k: v for k, v in (overrides or {}).items() if v is not None})
     try:
-        for f in dataclasses.fields(cls):
-            if dataclasses.is_dataclass(f.default):
-                prefix = f"{f.name}_"
-                nested = {k[len(prefix):]: values.pop(k) for k in list(values)
-                          if k.startswith(prefix)}
-                values[f.name] = dataclasses.replace(values.get(f.name, f.default), **nested)
         return cls(**values)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid [{section}] config: {exc}") from exc

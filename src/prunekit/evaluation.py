@@ -53,8 +53,8 @@ def predict_answer(model, items):
     layout; the result is a list either way."""
     with T.no_grad():
         trace = M.forward(model, items, capture=None)
-    lo = trace.layout.loss_rows[0]
-    rows = trace.logits.data.reshape(trace.n_items, trace.layout.total, -1)[:, lo]
+        logits = M.response_rows(trace, trace.logits).data
+    rows = logits.reshape(trace.n_items, -1, logits.shape[1])[:, 0]
     answers = []
     for item, row in zip(M.as_items(items), rows):
         support = list(answer_support(item.task))

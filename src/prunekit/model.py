@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .tensor import ParameterError, Tensor
+from .tensor import GraphError, ParameterError, Tensor
 
 
 class SequenceLengthError(ValueError):
@@ -105,8 +105,11 @@ def response_rows(trace, x):
     """The rows of a stacked (n_items*T, width) tensor that predict response
     tokens, as (n_items*n_response, width) in item order."""
     lo, hi = trace.layout.loss_rows
-    b = trace.n_items
-    per_item = T.reshape(x, (b, x.shape[0] // b, x.shape[1]))
+    b, total = trace.n_items, trace.layout.total
+    if x.shape[0] != b * total:
+        raise GraphError(f"response_rows: {x.shape[0]} rows, but the trace holds "
+                         f"{b} items of {total} rows")
+    per_item = T.reshape(x, (b, total, x.shape[1]))
     return T.reshape(T.slice_rows(per_item, lo, hi, axis=1), (b * (hi - lo), x.shape[1]))
 
 
@@ -264,16 +267,19 @@ def init(config, seed):
     return from_arrays(config, arrays)
 
 
-# The projections `_block_forward` adds an attached LoRA adapter's delta to.
+# The one LoRA recipe of joint recovery: the projections `_block_forward`
+# adds an attached adapter's delta to, the adapter rank and its scaling.
 LORA_TARGETS = ("wq", "wv")
+LORA_RANK = 8
+LORA_SCALING = 16.0
 
 
 def _effective_weight(model, name, param):
-    """Base weight, or base + scaling*B@A while a LoRA adapter is attached."""
+    """Base weight, or base + LORA_SCALING*B@A while a LoRA adapter is attached."""
     adapter = model.lora.get(name)
     if adapter is None:
         return param
-    return T.add(param, T.scale(T.matmul(adapter.b, adapter.a), adapter.scaling))
+    return T.add(param, T.scale(T.matmul(adapter.b, adapter.a), LORA_SCALING))
 
 
 def _block_forward(model, i, layer, h, seq_len):

@@ -35,21 +35,6 @@ class TrainingDivergedError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class LoraSettings:
-    rank: int = 8
-    scaling: float = 16.0
-    targets: tuple = ("wq", "wv")  # attention q and v projections
-
-    def __post_init__(self):
-        if self.rank < 1:
-            raise ParameterError("lora rank must be >= 1")
-        if (not set(self.targets) <= set(M.LORA_TARGETS)
-                or len(set(self.targets)) != len(self.targets)):
-            raise ParameterError(f"lora targets must be distinct and among "
-                                 f"{M.LORA_TARGETS}, got {self.targets}")
-
-
-@dataclass(frozen=True)
 class RecoveryConfig:
     alpha: float = 1.0
     beta: float = 0.0
@@ -58,7 +43,6 @@ class RecoveryConfig:
     kd_direction: str = "none"  # "kl" | "rkl" | "none"
     match_layers: tuple = (-1,)  # indices into block outputs, python-style
     scope: str = "projector"  # "projector" | "joint"
-    lora: LoraSettings = LoraSettings()
     data_fraction: float = 1.0
     lr: float = 0.05
     steps: int = 300
@@ -112,10 +96,8 @@ class LossBreakdown:
 
 @dataclass
 class LoraAdapter:
-    target: str
-    a: Tensor  # (rank, d_in)
-    b: Tensor  # (d_out, rank), zero-initialized
-    scaling: float
+    a: Tensor  # (M.LORA_RANK, d_in)
+    b: Tensor  # (d_out, M.LORA_RANK), zero-initialized
 
 
 # --------------------------------------------------------------------- losses
@@ -189,9 +171,8 @@ def _teacher_targets(teacher, items, layers):
     with T.no_grad():
         for idx in M.layout_buckets(items):
             trace = M.forward(teacher, [items[i] for i in idx], capture="all" if layers else None)
-            lo, hi = trace.layout.loss_rows
             blocks = trace.hidden_states[1:]
-            arrays = [t.data.reshape(len(idx), trace.layout.total, -1)[:, lo:hi].copy()
+            arrays = [M.response_rows(trace, t).data.reshape(len(idx), -1, t.shape[1])
                       for t in (trace.logits, *(blocks[k] for k in layers))]
             for j, i in enumerate(idx):
                 out[i] = [a[j] for a in arrays]
@@ -200,33 +181,27 @@ def _teacher_targets(teacher, items, layers):
 
 # ----------------------------------------------------------------------- LoRA
 
-def attach_lora(model, settings=LoraSettings(), seed=0):
-    """Attach zero-delta adapters to the configured attention projections."""
+def attach_lora(model, seed=0):
+    """Attach zero-delta adapters of rank M.LORA_RANK to every block's
+    M.LORA_TARGETS projections."""
     if model.lora:
         raise ParameterError("model already has adapters attached")
     rng = np.random.default_rng(seed)
-    adapters = []
     for i, layer in enumerate(model.layers):
-        for tgt in settings.targets:
-            base = getattr(layer, tgt)
-            d_out, d_in = base.data.shape
-            a = Tensor(rng.standard_normal((settings.rank, d_in)) * 0.02,
-                       requires_grad=True)
-            b = Tensor(np.zeros((d_out, settings.rank)), requires_grad=True)
-            name = f"layers.{i}.attn.{tgt}"
-            adapter = LoraAdapter(target=name, a=a, b=b, scaling=settings.scaling)
-            model.lora[name] = adapter
-            adapters.append(adapter)
-    return adapters
+        for tgt in M.LORA_TARGETS:
+            d_out, d_in = getattr(layer, tgt).data.shape
+            a = Tensor(rng.standard_normal((M.LORA_RANK, d_in)) * 0.02, requires_grad=True)
+            b = Tensor(np.zeros((d_out, M.LORA_RANK)), requires_grad=True)
+            model.lora[f"layers.{i}.attn.{tgt}"] = LoraAdapter(a=a, b=b)
 
 
 def merge_lora(model):
-    """Fold scaling*B@A into each base matrix exactly once, then detach."""
+    """Fold M.LORA_SCALING*B@A into each base matrix exactly once, then detach."""
     if not model.lora:
         raise ParameterError("no adapters to merge")
     for name, adapter in model.lora.items():
         base = model.get_parameter(name)
-        base.data = base.data + adapter.scaling * (adapter.b.data @ adapter.a.data)
+        base.data = base.data + M.LORA_SCALING * (adapter.b.data @ adapter.a.data)
     model.lora.clear()
 
 
@@ -261,12 +236,12 @@ def subsample(pool, fraction, seed):
     return D.draw_calibration(pool, max(1, round(fraction * len(pool))), seed)
 
 
-def _trainable_params(student, lora_adapters):
+def _trainable_params(student):
+    """The projector's parameters and those of every attached LoRA adapter."""
     names = set(M.param_partition(student)["projector"])
     chosen = [(n, p) for n, p in student.named_parameters() if n in names]
-    for ad in lora_adapters:
-        chosen.append((f"{ad.target}.lora_a", ad.a))
-        chosen.append((f"{ad.target}.lora_b", ad.b))
+    for name, ad in student.lora.items():
+        chosen += [(f"{name}.lora_a", ad.a), (f"{name}.lora_b", ad.b)]
     return chosen
 
 
@@ -391,17 +366,16 @@ def train(student, teacher, pool, config, eval_fn=None):
     if needs_teacher:
         # The teacher is frozen: one pass per distinct item serves every step.
         cache = _teacher_targets(teacher, data, config.match_layers if config.gamma > 0 else ())
-    adapters = []
     if config.scope == "joint":
-        adapters = attach_lora(student, config.lora, seed=config.seed)
-    params = _trainable_params(student, adapters)
+        attach_lora(student, seed=config.seed)
+    params = _trainable_params(student)
     try:
         history = _fit(student, params, data, config, lambda step: config.lr, losses=config,
                        cache=cache, eval_fn=eval_fn, eval_every=config.eval_every)
     except BaseException:
         student.lora.clear()
         raise
-    if adapters:
+    if config.scope == "joint":
         merge_lora(student)
     return history
 

@@ -316,17 +316,18 @@ def gelu(x):
     return Tensor._from_op(out_data, (x,), bwd, "gelu")
 
 
-def log_softmax(x, temperature=1.0, axis=-1):
+def log_softmax(x, temperature=1.0):
+    """Log-softmax over the last axis of x / temperature."""
     if temperature <= 0:
         raise ParameterError(f"log_softmax: temperature must be positive, got {temperature}")
     z = x.data / temperature
-    z = z - z.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
+    z = z - z.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
     out_data = z - lse
     p = np.exp(out_data)
 
     def bwd(g, push):
-        push(x, (g - p * g.sum(axis=axis, keepdims=True)) / temperature)
+        push(x, (g - p * g.sum(axis=-1, keepdims=True)) / temperature)
 
     return Tensor._from_op(out_data, (x,), bwd, "log_softmax")
 

@@ -25,7 +25,7 @@ from prunekit import recovery as R
 from prunekit import tensor as T
 from prunekit.advisor import Scenario
 from prunekit.model import ModelConfig, Triplet
-from prunekit.recovery import LoraSettings, RecoveryConfig, TeacherConfig
+from prunekit.recovery import RecoveryConfig, TeacherConfig
 from prunekit.tensor import Tensor
 
 from conftest import finite_diff_grads, group_scale_sensitivity, group_slices, quick_sgd, \
@@ -375,7 +375,7 @@ def test_criterion_05_flops_anchors():
 # ------------------------------------------------- criterion 6: kd correctness
 
 def test_criterion_06_kd_correctness():
-    from test_recovery import kd_pair  # same hand-computed construction
+    from test_recovery import kd_pair, trace_from_logits  # same hand-computed construction
 
     s, t = kd_pair([0.4, 0.6], [0.4, 0.6])
     assert abs(R.kd_logits_loss(s, t, 1.0, "kl").item()) < 1e-7
@@ -388,15 +388,12 @@ def test_criterion_06_kd_correctness():
     assert abs(R.kd_logits_loss(s, t, 1.0, "rkl").item() - 0.3681) < 1e-4
 
     with T.precision("float64"):
-        from prunekit.model import ForwardTrace, TokenLayout
         lt = np.array([[0.4, -1.0, 0.6, 0.1]])
         for direction in ("kl", "rkl"):
             arrays = [np.array([[0.2, 0.9, -1.2, 0.05]])]
 
             def build(p):
-                rows = T.concat_rows([p[0], p[0]])
-                layout = TokenLayout(n_visual=1, n_prompt=1, n_response=1)
-                s_tr = ForwardTrace([None], rows, layout)
+                s_tr = trace_from_logits(T.concat_rows([p[0], p[0]]))
                 return R.kd_logits_loss(s_tr, lt, tau=2.0, direction=direction)
 
             leaves = [Tensor(arrays[0], requires_grad=True)]
@@ -425,7 +422,7 @@ def test_criterion_07_scope_isolation(teacher, dataset):
     item = train[0]
     with T.no_grad():
         pre = M.forward(fresh, item, capture=None).logits.data.copy()
-    R.attach_lora(fresh, LoraSettings(), seed=5)
+    R.attach_lora(fresh, seed=5)
     with T.no_grad():
         post = M.forward(fresh, item, capture=None).logits.data.copy()
     assert np.abs(post - pre).max() <= 1e-6

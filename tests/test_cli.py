@@ -61,15 +61,17 @@ def test_bad_config_value_is_config_error(workspace, tmp_path):
     assert code == cli.EXIT_CONFIG
 
 
-@pytest.mark.parametrize("target", ["wk", "w_up"])
-def test_lora_target_the_forward_never_adapts_is_config_error(workspace, tmp_path,
-                                                             monkeypatch, target):
+@pytest.mark.parametrize("line", ["lora_targets = wq,wk", "lora_targets = wq,w_up",
+                                  "lora_rank = 4", "lora_scaling = 8.0"],
+                         ids=["wk", "w_up", "rank", "scaling"])
+def test_lora_key_in_config_exits_2_before_training(workspace, tmp_path, monkeypatch, line):
+    """The LoRA recipe is fixed; no lora_* key is accepted."""
     def train(*args, **kwargs):
         raise AssertionError("recovery started training")
 
     monkeypatch.setattr(cli.R, "train", train)
     cfg = tmp_path / "lora.ini"
-    cfg.write_text(workspace["cfg"].read_text() + f"lora_targets = wq,{target}\n")
+    cfg.write_text(workspace["cfg"].read_text() + line + "\n")
     out = tmp_path / "never.ckpt"
     code = run(["recover", "--student", str(workspace["teacher"]), "--teacher",
                 str(workspace["teacher"]), "--data", str(workspace["data"]),
@@ -236,6 +238,25 @@ def test_infeasible_plan_exit_code(workspace):
                 "--ratio", "0.95", "--out", str(workspace["root"] / "never.ckpt"),
                 "--seed", "1"])
     assert code == cli.EXIT_INFEASIBLE
+
+
+def test_prune_floors_bound_widthwise_removal(workspace):
+    """The teacher has 2 blocks of 4 heads and 32 channels (6208 parameters
+    each). Floors of 3 heads and 24 channels leave 1 head (1024) and 8
+    channels (512) removable per block: at most 3072/12416 = 0.247."""
+    ws = {k: str(v) for k, v in workspace.items()}
+
+    def prune(ratio, out, *floors):
+        return run(["prune", "--ckpt", ws["teacher"], "--data", ws["data"], "--mode",
+                    "widthwise", "--ratio", ratio, "--calib-size", "2", "--out",
+                    str(workspace["root"] / out), *floors])
+
+    floors = ("--min-heads", "3", "--min-channels", "24")
+    assert prune("0.3", "floors-0.3.ckpt", *floors) == cli.EXIT_INFEASIBLE
+    assert prune("0.3", "no-floors-0.3.ckpt") == 0
+    assert prune("0.2", "floors-0.2.ckpt", *floors) == 0
+    model, _ = C.load(workspace["root"] / "floors-0.2.ckpt")
+    assert all(h >= 3 and f >= 24 for h, f in model.layer_shapes())
 
 
 def test_advise_rule_ii_text(capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from prunekit import config as C
 from prunekit.model import ModelConfig
-from prunekit.recovery import LoraSettings, RecoveryConfig, TeacherConfig
+from prunekit.recovery import RecoveryConfig, TeacherConfig
 
 EVERY_KEY_INI = pathlib.Path(__file__).with_name("every_key.ini")
 
@@ -18,14 +18,13 @@ KEYS = {
     "teacher": ["steps", "batch_size", "peak_lr", "warmup", "floor_frac", "momentum",
                 "clip"],
     "recovery": ["alpha", "beta", "gamma", "tau", "kd_direction", "match_layers", "scope",
-                 "lora_rank", "lora_scaling", "lora_targets", "data_fraction", "lr", "steps",
-                 "batch_size", "momentum", "eval_every"],
+                 "data_fraction", "lr", "steps", "batch_size", "momentum", "eval_every"],
     "prune": ["calib_size", "min_heads", "min_channels"],
 }
 
 # What tests/every_key.ini must resolve to, types included: repr tells 1 from
 # 1.0 and "1" from 1, so rms_eps must come back a float, warmup an int,
-# match_layers ints and lora_targets and tasks strings.
+# match_layers ints and tasks strings.
 EVERY_KEY = {
     "model": ModelConfig(vocab_size=48, d_model=32, n_layers=3, n_heads=2, head_dim=16,
                          d_ffn=64, n_visual_tokens=3, d_vision=16, d_descriptor=24,
@@ -34,9 +33,7 @@ EVERY_KEY = {
     "teacher": TeacherConfig(steps=40, batch_size=4, peak_lr=0.1, warmup=5, floor_frac=0.1,
                              momentum=0.8, clip=2.0),
     "recovery": RecoveryConfig(alpha=0.5, beta=0.25, gamma=2.0, tau=1.5, kd_direction="rkl",
-                               match_layers=(-3, -1), scope="joint",
-                               lora=LoraSettings(rank=4, scaling=8.0, targets=("wv", "wq")),
-                               data_fraction=0.05, lr=0.02, steps=25, batch_size=4,
+                               match_layers=(-3, -1), scope="joint", data_fraction=0.05, lr=0.02, steps=25, batch_size=4,
                                momentum=0.5, eval_every=5),
     "prune": C.PruneSettings(calib_size=6, min_heads=2, min_channels=16),
 }
@@ -45,14 +42,10 @@ RESOLVE = {"model": C.model_config, "data": C.data_settings, "teacher": C.teache
            "recovery": C.recovery_config, "prune": C.prune_settings}
 
 
-def leaves(obj, prefix=""):
-    """(INI key, value) of every field, nested dataclass fields as `<field>_<name>`."""
+def leaves(obj):
+    """(field name, value) of every field."""
     for f in dataclasses.fields(obj):
-        value = getattr(obj, f.name)
-        if dataclasses.is_dataclass(value):
-            yield from leaves(value, f"{prefix}{f.name}_")
-        else:
-            yield prefix + f.name, value
+        yield f.name, getattr(obj, f.name)
 
 
 def write(tmp_path, text):
@@ -103,12 +96,12 @@ def test_invalid_combination_is_config_error(tmp_path):
 
 
 def test_flag_beats_file_beats_default(tmp_path):
-    cfg = C.load_config(write(tmp_path, "[recovery]\nlr = 0.5\nsteps = 7\nlora_rank = 2\n"
+    cfg = C.load_config(write(tmp_path, "[recovery]\nlr = 0.5\nsteps = 7\ntau = 3.0\n"
                                         "[prune]\ncalib_size = 3\n"))
     rc = C.recovery_config(cfg, {"lr": 0.25, "steps": None})
-    assert (rc.lr, rc.steps, rc.lora.rank) == (0.25, 7, 2)
-    assert (rc.batch_size, rc.lora.scaling) == (RecoveryConfig().batch_size, LoraSettings().scaling)
-    assert C.recovery_config(cfg, {"lora_rank": 5}).lora == LoraSettings(rank=5)
+    assert (rc.lr, rc.steps, rc.tau) == (0.25, 7, 3.0)
+    assert rc.batch_size == RecoveryConfig().batch_size
+    assert C.recovery_config(cfg, {"tau": 5.0}).tau == 5.0
     assert C.prune_settings(cfg, {"calib_size": None, "min_heads": 2}) == \
         {"calib_size": 3, "min_heads": 2, "min_channels": None}
     assert C.prune_settings({}, {"calib_size": 4})["calib_size"] == 4

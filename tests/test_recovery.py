@@ -16,7 +16,7 @@ from prunekit import pruning as P
 from prunekit import recovery as R
 from prunekit import tensor as T
 from prunekit.model import ForwardTrace, ModelConfig, TokenLayout, Triplet
-from prunekit.recovery import LoraSettings, RecoveryConfig, TrainingDivergedError
+from prunekit.recovery import RecoveryConfig, TrainingDivergedError
 from prunekit.tensor import GraphError, ParameterError, Tensor
 
 from conftest import rel_err
@@ -24,11 +24,13 @@ from conftest import rel_err
 
 def trace_from_logits(logits, n_prompt=1, n_resp=1):
     """Minimal one-item trace over `logits` (a Tensor or an array), whose last
-    n_resp rows predict the response."""
+    n_resp rows predict the response; one unread row follows them, at the
+    position of the last response token."""
     t = logits if isinstance(logits, Tensor) else Tensor(logits)
+    unread = Tensor(np.zeros((1, t.shape[1]), dtype=t.data.dtype))
     layout = TokenLayout(n_visual=t.shape[0] - n_prompt - n_resp + 1,
                          n_prompt=n_prompt, n_response=n_resp)
-    return ForwardTrace(hidden_states=[None], logits=t, layout=layout)
+    return ForwardTrace(hidden_states=[None], logits=T.concat_rows([t, unread]), layout=layout)
 
 
 def teacher_rows(trace, layers=()):
@@ -107,18 +109,26 @@ def test_kd_gradient_matches_finite_differences():
 
 def test_kd_layout_mismatch_rejected():
     """Teacher rows from another layout (two response rows) or another
-    vocabulary do not fit the student's one response row."""
+    vocabulary do not fit the student's one response row, and a student
+    trace whose rows disagree with its own layout is not read."""
     s, _ = kd_pair([0.5, 0.5], [0.9, 0.1])
     for other in (np.zeros((2, 2)), np.zeros((1, 3))):
         with pytest.raises(GraphError, match="differ in shape"):
             R.kd_logits_loss(s, other, tau=1.0, direction="kl")
+    # 2 rows under a layout of 3
+    short = ForwardTrace([None], Tensor(np.zeros((2, 2))), TokenLayout(1, 1, 1))
+    with pytest.raises(GraphError, match="2 rows, but the trace holds 1 items of 3 rows"):
+        R.kd_logits_loss(short, np.zeros((1, 2)), tau=1.0, direction="kl")
 
 
 # ---------------------------------------------------------------- hidden match
 
 def make_state_trace(states, n_prompt=1, n_resp=1):
-    logits = np.zeros((states[0].shape[0], 4), dtype=T.default_dtype())
-    tensors = [Tensor(s) for s in states]
+    """A one-item trace whose block outputs are `states`, the last n_resp
+    rows of each predicting the response; like trace_from_logits, every
+    tensor gets one unread row after them."""
+    logits = np.zeros((states[0].shape[0] + 1, 4), dtype=T.default_dtype())
+    tensors = [Tensor(np.vstack([s, np.zeros((1, s.shape[1]), dtype=s.dtype)])) for s in states]
     layout = TokenLayout(n_visual=states[0].shape[0] - n_prompt - n_resp + 1,
                          n_prompt=n_prompt, n_response=n_resp)
     return ForwardTrace([None] + tensors, Tensor(logits), layout)
@@ -342,7 +352,7 @@ def test_lora_attach_is_exact_identity():
     item = pool[0]
     with T.no_grad():
         before = M.forward(student, item, capture=None).logits.data.copy()
-    R.attach_lora(student, LoraSettings(), seed=9)
+    R.attach_lora(student, seed=9)
     with T.no_grad():
         after = M.forward(student, item, capture=None).logits.data.copy()
     assert np.abs(after - before).max() <= 1e-6
@@ -350,8 +360,8 @@ def test_lora_attach_is_exact_identity():
 
 def test_lora_merge_preserves_function_and_is_single_shot(rng):
     teacher, student, pool = small_recovery_setup()
-    adapters = R.attach_lora(student, LoraSettings(rank=4, scaling=8.0), seed=9)
-    for ad in adapters:
+    R.attach_lora(student, seed=9)
+    for ad in student.lora.values():
         ad.b.data[...] = rng.standard_normal(ad.b.data.shape) * 0.01
     item = pool[0]
     with T.no_grad():
@@ -474,11 +484,6 @@ def test_config_validation():
         RecoveryConfig(data_fraction=0.0)
     with pytest.raises(ParameterError):
         RecoveryConfig(scope="everything")
-    with pytest.raises(ParameterError):
-        LoraSettings(rank=0)
-    for target in ("wk", "wo", "w_up", "wq"):
-        with pytest.raises(ParameterError):
-            LoraSettings(targets=("wq", target))
 
 
 def test_vision_frozen_through_recovery():
