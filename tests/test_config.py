@@ -33,8 +33,8 @@ EVERY_KEY = {
     "teacher": TeacherConfig(steps=40, batch_size=4, peak_lr=0.1, warmup=5, floor_frac=0.1,
                              momentum=0.8, clip=2.0),
     "recovery": RecoveryConfig(alpha=0.5, beta=0.25, gamma=2.0, tau=1.5, kd_direction="rkl",
-                               match_layers=(-3, -1), scope="joint", data_fraction=0.05, lr=0.02, steps=25, batch_size=4,
-                               momentum=0.5, eval_every=5),
+                               match_layers=(-3, -1), scope="joint", data_fraction=0.05,
+                               lr=0.02, steps=25, batch_size=4, momentum=0.5, eval_every=5),
     "prune": C.PruneSettings(calib_size=6, min_heads=2, min_channels=16),
 }
 

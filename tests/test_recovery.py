@@ -115,7 +115,6 @@ def test_kd_layout_mismatch_rejected():
     for other in (np.zeros((2, 2)), np.zeros((1, 3))):
         with pytest.raises(GraphError, match="differ in shape"):
             R.kd_logits_loss(s, other, tau=1.0, direction="kl")
-    # 2 rows under a layout of 3
     short = ForwardTrace([None], Tensor(np.zeros((2, 2))), TokenLayout(1, 1, 1))
     with pytest.raises(GraphError, match="2 rows, but the trace holds 1 items of 3 rows"):
         R.kd_logits_loss(short, np.zeros((1, 2)), tau=1.0, direction="kl")
