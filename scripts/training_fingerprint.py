@@ -21,8 +21,7 @@ the training and pruning lines. After it comes one line with the signed
 scale sensitivity (`group_scale_sensitivity`, a test oracle of
 tests/conftest.py) of the first attention-head group and the first
 MLP-channel group of block 0 (floats at full precision), computed on the
-teacher copy right after its Taylor scoring, while that copy still holds the
-gradients of the scoring's last backward. Last come the plans for that
+teacher copy right after its Taylor scoring. Last come the plans for that
 scored teacher: one line per mode and target ratio 0.15, 0.3, 0.45 and 0.6
 with the victim ids and the predicted parameter removal, then the
 InfeasiblePlanError text of layerwise 0.9 and of widthwise 0.99.

@@ -74,7 +74,10 @@ def read_manifest(path):
         header = f.read(header_len)
         if len(header) != header_len:
             raise CheckpointError(f"{path}: truncated manifest")
-        manifest = json.loads(header.decode("utf-8"))
+        try:
+            manifest = json.loads(header.decode("utf-8"))
+        except ValueError as exc:  # a UnicodeDecodeError or a JSONDecodeError
+            raise CheckpointError(f"{path}: malformed manifest ({exc})") from exc
         payload_start = f.tell()
     return manifest, payload_start
 

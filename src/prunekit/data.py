@@ -182,12 +182,13 @@ def save_dataset(path, train, evals, seed=None):
 def load_dataset(path):
     with open(path, "r", encoding="utf-8") as f:
         payload = json.load(f)
+    if not (isinstance(payload, dict)
+            and all(isinstance(payload.get(pool), list) for pool in ("train", "eval"))):
+        raise ParameterError(f"{path}: dataset needs a 'train' and an 'eval' item list")
     if payload.get("descriptor_dim") != DESCRIPTOR_DIM:
         raise ParameterError(
             f"dataset descriptor width {payload.get('descriptor_dim')} does not match "
             f"this build's {DESCRIPTOR_DIM}")
-    if not all(isinstance(payload.get(pool), list) for pool in ("train", "eval")):
-        raise ParameterError(f"{path}: dataset needs a 'train' and an 'eval' item list")
     return tuple([_record_to_item(rec, f"{path}: {pool} record {i}")
                   for i, rec in enumerate(payload[pool])] for pool in ("train", "eval"))
 

@@ -103,6 +103,12 @@ def save_report(path, report, extra=None):
 def load_report(path):
     with open(path, "r", encoding="utf-8") as f:
         payload = json.load(f)
+    if not (isinstance(payload, dict) and isinstance(payload.get("per_task"), dict)
+            and isinstance(payload.get("counts"), dict)
+            and all(type(v) in (int, float) for v in (payload.get("avg"),
+                                                      *payload["per_task"].values()))):
+        raise ParameterError(f"{path}: not an eval report (needs an object 'per_task' "
+                             f"of numbers, an object 'counts' and a number 'avg')")
     return EvalReport.from_dict(payload), payload
 
 

@@ -166,21 +166,24 @@ def _grouped_linears(loss, weights):
     return {name: nodes[0] for name, nodes in found.items()}
 
 
-def _add_abs_item_grads(model, items, weights, sums):
+def _add_abs_item_grads(model, items, weights, sums, grads):
     """One forward and one backward over a layout chunk; adds sum_i |g_i^T x_i|
-    of each grouped linear to sums[name] in float64. The chunk's tape is freed
-    when this returns, before the next chunk's is built."""
+    of each grouped linear to sums[name] in float64, refilling `grads` as
+    `recovery._backward_step` does. The chunk's tape is freed when this
+    returns, before the next chunk's is built."""
     trace = M.forward(model, items, capture=None)
     # the chunk shares n_response, so B x the row mean is the sum of item losses
     loss = T.scale(M.response_loss(trace, items), len(items))
     linears = _grouped_linears(loss, weights)
-    T.backward(loss, retain=list(linears.values()))
-    for name, p in model.named_parameters():
-        if p.grad is not None and not np.isfinite(p.grad).all():
+    params = model.named_parameters()
+    grads.clear()
+    grads.extend(T.backward(loss, [p for _, p in params] + list(linears.values())))
+    for (name, _), g in zip(params, grads):
+        if g is not None and not np.isfinite(g).all():
             raise NonFiniteGradientError(f"non-finite gradient in {name}")
     b = len(items)
-    for name, node in linears.items():
-        x, g = node.parents[0].data, node.grad
+    for (name, node), g in zip(linears.items(), grads[len(params):]):
+        x = node.parents[0].data
         per_item = np.matmul(g.reshape(b, -1, g.shape[1]).transpose(0, 2, 1),
                              x.reshape(b, -1, x.shape[1]))
         sums[name] += np.abs(per_item, out=per_item).sum(axis=0, dtype=np.float64)
@@ -208,8 +211,9 @@ def taylor_group_importance(model, groups, calib):
                for layer, kind in widths}
     weights = {name: by_name[name] for pairs in members.values() for name, _ in pairs}
     sums = {name: np.zeros(w.data.shape) for name, w in weights.items()}
+    grads = []
     for idx in M.layout_buckets(calib, size=TAYLOR_CHUNK_SIZE):
-        _add_abs_item_grads(model, [calib[i] for i in idx], weights, sums)
+        _add_abs_item_grads(model, [calib[i] for i in idx], weights, sums, grads)
     scores = {}
     for unit, pairs in members.items():
         scores[unit] = sum((sums[name] * np.abs(weights[name].data)).sum(axis=1 - axis)

@@ -54,25 +54,26 @@ class RecoveryConfig:
     def __post_init__(self):
         if self.alpha == 0 and self.beta == 0 and self.gamma == 0:
             raise ParameterError("at least one of alpha/beta/gamma must be positive")
-        if min(self.alpha, self.beta, self.gamma) < 0:
-            raise ParameterError("loss coefficients must be nonnegative")
-        if self.tau <= 0:
-            raise ParameterError("tau must be positive")
-        if not (0.0 < self.data_fraction <= 1.0):
-            raise ParameterError("data_fraction must be in (0, 1]")
-        if self.kd_direction not in ("kl", "rkl", "none"):
-            raise ParameterError(f"unknown kd_direction {self.kd_direction!r}")
         if self.beta > 0 and self.kd_direction == "none":
             raise ParameterError("beta > 0 requires a kd_direction")
-        if self.scope not in ("projector", "joint"):
-            raise ParameterError(f"unknown scope {self.scope!r}")
-        _check_run_length(self)
+        _check_ranges(self, {
+            "alpha": (self.alpha >= 0, ">= 0"), "beta": (self.beta >= 0, ">= 0"),
+            "gamma": (self.gamma >= 0, ">= 0"), "tau": (self.tau > 0, "> 0"),
+            "kd_direction": (self.kd_direction in ("kl", "rkl", "none"), "kl, rkl or none"),
+            "scope": (self.scope in ("projector", "joint"), "projector or joint"),
+            "data_fraction": (0 < self.data_fraction <= 1, "in (0, 1]"),
+            "lr": (self.lr > 0, "> 0"), "eval_every": (self.eval_every >= 0, ">= 0")})
 
 
-def _check_run_length(config):
-    if config.steps < 1 or config.batch_size < 1:
-        raise ParameterError(f"steps and batch_size must be >= 1, got "
-                             f"{config.steps} and {config.batch_size}")
+def _check_ranges(config, ranges):
+    """Raise ParameterError naming the first setting out of its range. `ranges`
+    maps a setting to (in range?, the range); steps, batch_size and momentum,
+    which `_fit` reads from either config, are always checked."""
+    ranges = {"steps": (config.steps >= 1, ">= 1"), "batch_size": (config.batch_size >= 1, ">= 1"),
+              "momentum": (0 <= config.momentum < 1, "in [0, 1)"), **ranges}
+    for name, (ok, rule) in ranges.items():
+        if not ok:
+            raise ParameterError(f"{name} must be {rule}, got {getattr(config, name)!r}")
 
 
 @dataclass
@@ -216,11 +217,12 @@ class Sgd:
         self.momentum = momentum
         self.velocity = {n: np.zeros_like(p.data) for n, p in self.named_params}
 
-    def step(self, grad_scale=1.0):
-        for n, p in self.named_params:
-            if p.grad is None:
+    def step(self, grads, grad_scale=1.0):
+        """grads[j] is the gradient of named_params[j], or None to leave it."""
+        for (n, p), g in zip(self.named_params, grads):
+            if g is None:
                 continue
-            g = p.grad * grad_scale
+            g = g * grad_scale
             if self.momentum:
                 v = self.velocity[n]
                 v *= self.momentum
@@ -230,9 +232,8 @@ class Sgd:
 
 
 def subsample(pool, fraction, seed):
-    """Seeded, sorted subsample of round(fraction * n) items (at least 1)."""
-    if not (0.0 < fraction <= 1.0):
-        raise ParameterError("data_fraction must be in (0, 1]")
+    """Seeded, sorted subsample of round(fraction * n) items (at least 1);
+    RecoveryConfig keeps fraction in (0, 1]."""
     return D.draw_calibration(pool, max(1, round(fraction * len(pool))), seed)
 
 
@@ -269,9 +270,10 @@ def _batch_losses(student, batch, targets, config):
     return sums
 
 
-def _backward_step(student, batch, targets, config, step):
+def _backward_step(student, params, batch, targets, config, step, grads):
     """Loss of one batch and its backward pass; returns (l_sft, l_logits,
-    l_match, total). The tape is freed on return."""
+    l_match, total). The list `grads` is refilled with the gradients of
+    `params` (None where the loss does not reach). The tape is freed on return."""
     sft, logits, match = _batch_losses(student, batch, targets, config)
     if match is not None:
         # width-normalized so the three terms share an order of magnitude
@@ -287,7 +289,10 @@ def _backward_step(student, batch, targets, config, step):
         raise TrainingDivergedError(
             f"non-finite loss at step {step}: "
             f"sft={values[0]} logits={values[1]} match={values[2]}")
-    T.backward(total)
+    # Last step's gradients go only now: alive through the forward, they keep
+    # the freed tape's memory from being trimmed and faulted back in each step.
+    grads.clear()
+    grads.extend(T.backward(total, [p for _, p in params]))
     return (*values, total_val)
 
 
@@ -310,6 +315,7 @@ def _fit(model, params, data, run, lr_at, losses, cache=None, clip=None,
     order = rng.permutation(len(data))
     pos = 0
     history = LossBreakdown()
+    grads = []
     try:
         for step in range(run.steps):
             if pos + run.batch_size > len(order):
@@ -320,13 +326,13 @@ def _fit(model, params, data, run, lr_at, losses, cache=None, clip=None,
             targets = None if cache is None else [cache[i] for i in idx]
 
             opt.lr = lr_at(step)
-            terms = _backward_step(model, [data[i] for i in idx], targets, losses, step)
+            terms = _backward_step(model, params, [data[i] for i in idx], targets, losses,
+                                   step, grads)
             grad_scale = 1.0
             if clip is not None:
-                gn = math.sqrt(sum(float((p.grad ** 2).sum())
-                                   for _, p in params if p.grad is not None))
+                gn = math.sqrt(sum(float((g ** 2).sum()) for g in grads if g is not None))
                 grad_scale = min(1.0, clip / gn) if gn > 0 else 1.0
-            opt.step(grad_scale)
+            opt.step(grads, grad_scale)
 
             metric = None
             if eval_fn is not None and eval_every and step % eval_every == 0:
@@ -394,7 +400,10 @@ class TeacherConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_run_length(self)
+        _check_ranges(self, {
+            "peak_lr": (self.peak_lr > 0, "> 0"), "warmup": (self.warmup >= 0, ">= 0"),
+            "floor_frac": (0 <= self.floor_frac <= 1, "in [0, 1]"),
+            "clip": (self.clip > 0, "> 0")})
 
 
 def _cosine_lr(step, cfg):

@@ -12,6 +12,8 @@ suites, never by training).
 
 from __future__ import annotations
 
+import functools
+import heapq
 import itertools
 import math
 from contextlib import contextmanager
@@ -98,13 +100,12 @@ def no_grad():
 class Tensor:
     """A node of the tape: value array plus optional backward record."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_id", "_parents", "_backward", "_op")
+    __slots__ = ("data", "requires_grad", "_id", "_parents", "_backward", "_op")
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data, dtype=_DTYPE)
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad = None
         self._id = next(_node_ids)
         self._parents = ()
         self._backward = None
@@ -114,7 +115,6 @@ class Tensor:
     def _from_op(cls, data, parents, backward, op):
         out = cls.__new__(cls)
         out.data = data
-        out.grad = None
         out._id = next(_node_ids)
         needs = False
         if _GRAD_ENABLED:
@@ -422,30 +422,16 @@ def causal_attention(q, k, v, n_heads, seq_len=None):
     return Tensor._from_op(out_data, (q, k, v), bwd, "causal_attention")
 
 
-_mask_cache = {}
-
-
+@functools.cache
 def _causal_mask(T):
-    m = _mask_cache.get(T)
-    if m is None:
-        m = np.triu(np.ones((T, T), dtype=bool), k=1)
-        _mask_cache[T] = m
-    return m
+    return np.triu(np.ones((T, T), dtype=bool), k=1)
 
 
-_rope_cache = {}
-
-
+@functools.cache
 def _rope_tables(T, hd, dtype):
-    key = (T, hd, np.dtype(dtype).str)
-    hit = _rope_cache.get(key)
-    if hit is None:
-        half = hd // 2
-        inv = 1.0 / (10000.0 ** (np.arange(half, dtype=np.float64) * 2.0 / hd))
-        ang = np.outer(np.arange(T, dtype=np.float64), inv)
-        hit = (np.cos(ang).astype(dtype), np.sin(ang).astype(dtype))
-        _rope_cache[key] = hit
-    return hit
+    inv = 1.0 / (10000.0 ** (np.arange(hd // 2, dtype=np.float64) * 2.0 / hd))
+    ang = np.outer(np.arange(T, dtype=np.float64), inv)
+    return np.cos(ang).astype(dtype), np.sin(ang).astype(dtype)
 
 
 def rope(x, n_heads, seq_len=None):
@@ -529,44 +515,34 @@ def sum_all(x):
     return Tensor._from_op(out_data, (x,), bwd, "sum")
 
 
-def backward(loss, retain=()):
-    """Set .grad of each requires_grad leaf a scalar loss reaches to d loss / d leaf,
-    overwriting it: .grad is the last backward's gradient; off-tape tensors keep theirs.
-
-    retain: non-leaf tensors whose .grad is set as well, like PyTorch's retain_grad.
+def backward(loss, wrt):
+    """d loss / d t for each tensor t of `wrt`, in order, from one reverse pass
+    of a scalar loss. t may be a leaf or a node of the tape; its entry is None
+    when t does not require a gradient or the loss does not reach it.
     """
     if loss.data.size != 1:
         raise GraphError(f"backward: root must be scalar, got shape {loss.data.shape}")
 
-    # Reachable tape nodes, then process in descending creation id: every node
-    # is finished before any of its parents, and accumulation order is fixed.
-    # A reached requires_grad leaf drops its old gradient now, so the old and
-    # the new gradient are never held at once.
-    seen = {}
-    stack = [loss]
-    while stack:
-        node = stack.pop()
-        if node._id in seen:
-            continue
-        seen[node._id] = node
-        if node._backward is None and node.requires_grad:
-            node.grad = None
-        stack.extend(node._parents)
-
-    grads = {loss._id: np.ones_like(loss.data)}
-    kept = {t._id for t in retain}
+    # Nodes holding a gradient run in descending creation id: every consumer
+    # of a node was made after it, so its gradient is complete when it runs,
+    # and the accumulation order is fixed.
+    pending = {loss._id: (loss, np.ones_like(loss.data))}
+    heap = [-loss._id]
+    wanted = {t._id for t in wrt if t.requires_grad}
+    found = {}
 
     def push(parent, g):
-        cur = grads.get(parent._id)
-        grads[parent._id] = g if cur is None else cur + g
+        cur = pending.get(parent._id)
+        if cur is None:
+            pending[parent._id] = (parent, g)
+            heapq.heappush(heap, -parent._id)
+        else:
+            pending[parent._id] = (parent, cur[1] + g)
 
-    for nid in sorted(seen, reverse=True):
-        node = seen[nid]
-        g = grads.pop(nid, None)
-        if g is None:
-            continue
-        if node._backward is None or nid in kept:
-            if node.requires_grad:
-                node.grad = g
+    while heap:
+        node, g = pending.pop(-heapq.heappop(heap))
+        if node._id in wanted:
+            found[node._id] = g
         if node._backward is not None:
             node._backward(g, push)
+    return [found.get(t._id) for t in wrt]

@@ -45,9 +45,8 @@ def grad_check(build, arrays, step=1e-4, tol=1e-4):
     with T.precision("float64"):
         leaves = [T.Tensor(a, requires_grad=True) for a in arrays]
         loss = build(leaves)
-        T.backward(loss)
-        auto = [lf.grad if lf.grad is not None else np.zeros_like(a)
-                for lf, a in zip(leaves, arrays)]
+        auto = [g if g is not None else np.zeros_like(a)
+                for g, a in zip(T.backward(loss, leaves), arrays)]
 
         def loss_fn(arrs):
             fresh = [T.Tensor(a, requires_grad=False) for a in arrs]
@@ -74,20 +73,18 @@ def quick_sgd(model, items, steps, lr, batch=16, momentum=0.9, clip=1.0, seed=0)
             pos = 0
         idx = order[pos:pos + batch]
         pos += batch
-        for _, p in params:
-            p.grad = None
         total = None
         for i in idx:
             loss = M.response_loss(M.forward(model, items[i], capture=None), items[i])
             total = loss if total is None else T.add(total, loss)
         total = T.scale(total, 1.0 / len(idx))
-        T.backward(total)
-        gn = np.sqrt(sum(float((p.grad ** 2).sum()) for _, p in params if p.grad is not None))
+        grads = T.backward(total, [p for _, p in params])
+        gn = np.sqrt(sum(float((g ** 2).sum()) for g in grads if g is not None))
         cf = min(1.0, clip / gn) if gn > 0 else 1.0
-        for n, p in params:
-            if p.grad is None:
+        for (n, p), g in zip(params, grads):
+            if g is None:
                 continue
-            vel[n] = momentum * vel[n] + p.grad * cf
+            vel[n] = momentum * vel[n] + g * cf
             p.data -= lr * vel[n]
     return model
 
@@ -130,16 +127,17 @@ def group_scale_sensitivity(model, group, calib):
     the gradient of its summed per-item losses.
     """
     by_name = dict(model.named_parameters())
+    slices = group_slices(group)
     total = 0.0
     for idx in M.layout_buckets(calib):
         items = [calib[i] for i in idx]
         trace = M.forward(model, items, capture=None)
-        T.backward(T.scale(M.response_loss(trace, items), len(items)))
+        grads = T.backward(T.scale(M.response_loss(trace, items), len(items)),
+                           [by_name[sl.param] for sl in slices])
         del trace
-        for sl in group_slices(group):
-            p = by_name[sl.param]
-            if p.grad is not None:
-                total += float((sl.take(p.grad) * sl.take(p.data)).sum())
+        for sl, g in zip(slices, grads):
+            if g is not None:
+                total += float((sl.take(g) * sl.take(by_name[sl.param].data)).sum())
     return total / len(calib)
 
 

@@ -157,11 +157,10 @@ def _model_grad_check(seed, tol=1e-4):
         model = M.init(cfg, seed=seed)
         model.head_w.data = rng.standard_normal(model.head_w.data.shape) * 0.1
         params = [(n, p) for n, p in model.named_parameters() if p.requires_grad]
-        for _, p in params:
-            p.grad = None
-        T.backward(M.response_loss(M.forward(model, item), item))
-        autos = {n: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-                 for n, p in params}
+        grads = T.backward(M.response_loss(M.forward(model, item), item),
+                           [p for _, p in params])
+        autos = {n: (g if g is not None else np.zeros_like(p.data))
+                 for (n, p), g in zip(params, grads)}
 
         def loss_of():
             with T.no_grad():
@@ -197,9 +196,8 @@ def test_criterion_01_autodiff_gradcheck():
             arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
             leaves = [Tensor(a, requires_grad=True) for a in arrays]
             loss = build(leaves)
-            T.backward(loss)
-            autos = [lf.grad if lf.grad is not None else np.zeros_like(a)
-                     for lf, a in zip(leaves, arrays)]
+            autos = [g if g is not None else np.zeros_like(a)
+                     for g, a in zip(T.backward(loss, leaves), arrays)]
 
             def loss_fn(arrs):
                 return build([Tensor(a) for a in arrs]).item()
@@ -397,10 +395,10 @@ def test_criterion_06_kd_correctness():
                 return R.kd_logits_loss(s_tr, lt, tau=2.0, direction=direction)
 
             leaves = [Tensor(arrays[0], requires_grad=True)]
-            T.backward(build(leaves))
+            grad, = T.backward(build(leaves), leaves)
             fd = finite_diff_grads(lambda arrs: build([Tensor(a) for a in arrs]).item(),
                                    [arrays[0].astype(np.float64)])
-            assert float(rel_err(leaves[0].grad, fd[0]).max()) <= 1e-4
+            assert float(rel_err(grad, fd[0]).max()) <= 1e-4
     report_pass(6, "KL/RKL zero at identity, hand values to 4 decimals, grads match FD")
 
 

@@ -82,8 +82,10 @@ def test_lora_key_in_config_exits_2_before_training(workspace, tmp_path, monkeyp
 
 @pytest.mark.parametrize("case", ["inspect-calib-0", "prune-calib-0", "recover-steps-0",
                                   "recover-batch-0", "teacher-batch-0", "recover-match-9",
-                                  "recover-match-past-pruned-student"])
-def test_bad_run_settings_are_config_errors(workspace, tmp_path, case):
+                                  "recover-match-past-pruned-student", "teacher-clip-negative",
+                                  "teacher-peak-lr-negative", "recover-lr-negative",
+                                  "recover-momentum-1.5"])
+def test_bad_run_settings_are_config_errors(workspace, tmp_path, capsys, case):
     ws = {k: str(v) for k, v in workspace.items()}
     out = tmp_path / "out"
     common = ["--data", ws["data"], "--out", str(out)]
@@ -97,10 +99,20 @@ def test_bad_run_settings_are_config_errors(workspace, tmp_path, case):
         "recover-batch-0": ["recover", "--student", ws["teacher"], "--teacher",
                             ws["teacher"], "--config", ws["cfg"], "--batch-size", "0"],
     }
-    if case == "teacher-batch-0":
+    if case.startswith("teacher"):
         cfg = tmp_path / "teacher.ini"
-        cfg.write_text("[teacher]\nbatch_size = 0\n")
+        cfg.write_text("[teacher]\n" + {"teacher-batch-0": "batch_size = 0",
+                                         "teacher-clip-negative": "clip = -1.0",
+                                         "teacher-peak-lr-negative": "peak_lr = -0.15"}[case]
+                       + "\n")
         argv[case] = ["train-teacher", "--config", str(cfg)]
+    if case in ("recover-lr-negative", "recover-momentum-1.5"):
+        cfg = tmp_path / "recovery.ini"
+        text = workspace["cfg"].read_text()
+        cfg.write_text(text.replace("lr = 0.02", "lr = -0.05") if case == "recover-lr-negative"
+                       else text + "momentum = 1.5\n")
+        argv[case] = ["recover", "--student", ws["teacher"], "--teacher", ws["teacher"],
+                      "--config", str(cfg)]
     if case.startswith("recover-match"):
         # the teacher has 2 blocks; layerwise 0.4 leaves the student 1
         student, layer = ws["teacher"], 9
@@ -115,6 +127,12 @@ def test_bad_run_settings_are_config_errors(workspace, tmp_path, case):
                       "--config", str(cfg)]
     assert run(argv[case] + common) == cli.EXIT_CONFIG
     assert not out.exists()
+    # the four settings that would make SGD climb are named in the error
+    assert {"teacher-clip-negative": "clip must be > 0, got -1.0",
+            "teacher-peak-lr-negative": "peak_lr must be > 0, got -0.15",
+            "recover-lr-negative": "lr must be > 0, got -0.05",
+            "recover-momentum-1.5": "momentum must be in [0, 1)"}.get(case, "") \
+        in capsys.readouterr().err
 
 
 def test_recovery_seed_in_a_config_file_is_config_error(workspace, tmp_path, capsys):
@@ -173,14 +191,29 @@ def drop_meta(manifest):
     ("meta-missing", "KeyError: 'meta'"),
     ("short-wk", "tensor layers.0.attn.wk has shape [24, 32], expected [32, 32]"),
     ("dataset-without-train", "dataset needs a 'train' and an 'eval' item list"),
+    ("manifest-not-utf8", "m.ckpt: malformed manifest ('utf-8' codec can't decode byte 0xff"),
+    ("dataset-top-level-list", "d.json: dataset needs a 'train' and an 'eval' item list"),
+    ("reference-without-per-task", "ref.json: not an eval report"),
 ], ids=["layer-shapes-disagree", "layer-shapes-missing", "config-unknown-key", "meta-missing",
-        "short-wk", "dataset-without-train"])
+        "short-wk", "dataset-without-train", "manifest-not-utf8", "dataset-top-level-list",
+        "reference-without-per-task"])
 def test_malformed_checkpoint_or_dataset_is_config_error(workspace, tmp_path, capsys,
                                                          case, message):
     ckpt, data, out = tmp_path / "m.ckpt", tmp_path / "d.json", tmp_path / "ev.json"
     ckpt.write_bytes(workspace["teacher"].read_bytes())
     data.write_bytes(workspace["data"].read_bytes())
-    if case == "short-wk":
+    reference = []
+    if case == "manifest-not-utf8":
+        _, start = C.read_manifest(ckpt)
+        header = b'{"format_version":1,"label":"\xff"}'
+        ckpt.write_bytes(C.MAGIC + f"{len(header)}\n".encode("ascii") + header
+                         + ckpt.read_bytes()[start:])
+    elif case == "dataset-top-level-list":
+        data.write_text("[]")
+    elif case == "reference-without-per-task":
+        (tmp_path / "ref.json").write_text('{"x": 1}')
+        reference = ["--reference", str(tmp_path / "ref.json")]
+    elif case == "short-wk":
         model, _ = C.load(ckpt)
         model.layers[0].wk.data = model.layers[0].wk.data[:24]
         C.save(model, ckpt)
@@ -193,7 +226,8 @@ def test_malformed_checkpoint_or_dataset_is_config_error(workspace, tmp_path, ca
                              "layer-shapes-missing": drop_layer_shapes,
                              "config-unknown-key": add_unknown_config_key,
                              "meta-missing": drop_meta}[case])
-    code = run(["evaluate", "--ckpt", str(ckpt), "--data", str(data), "--out", str(out)])
+    code = run(["evaluate", "--ckpt", str(ckpt), "--data", str(data), "--out", str(out)]
+               + reference)
     assert code == cli.EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert not out.exists()

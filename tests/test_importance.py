@@ -180,16 +180,13 @@ def per_slice_taylor_oracle(model, groups, calib):
     by_name = dict(model.named_parameters())
     acc = np.zeros(len(groups))
     for item in calib:
-        for _, p in model.named_parameters():
-            p.grad = None
-        T.backward(M.response_loss(M.forward(model, item, capture=None), item))
+        grad = dict(zip(by_name, T.backward(
+            M.response_loss(M.forward(model, item, capture=None), item), by_name.values())))
         for gi, group in enumerate(groups):
             for sl in group_slices(group):
-                p = by_name[sl.param]
-                if p.grad is not None:
-                    acc[gi] += float(np.abs(sl.take(p.grad) * sl.take(p.data)).sum())
-    for _, p in model.named_parameters():
-        p.grad = None
+                if grad[sl.param] is not None:
+                    acc[gi] += float(np.abs(sl.take(grad[sl.param])
+                                            * sl.take(by_name[sl.param].data)).sum())
     return acc / len(calib)
 
 
@@ -236,44 +233,14 @@ def test_scale_sensitivity_matches_per_item_loop(rng):
         picked = [groups[0], groups[-1]]
         want = np.zeros(len(picked))
         for item in calib:
-            for _, p in model.named_parameters():
-                p.grad = None
-            T.backward(M.response_loss(M.forward(model, item, capture=None), item))
+            grad = dict(zip(by_name, T.backward(
+                M.response_loss(M.forward(model, item, capture=None), item), by_name.values())))
             for k, group in enumerate(picked):
-                want[k] += sum(float((sl.take(by_name[sl.param].grad)
+                want[k] += sum(float((sl.take(grad[sl.param])
                                       * sl.take(by_name[sl.param].data)).sum())
                                for sl in group_slices(group))
         got = [group_scale_sensitivity(model, g, calib) for g in picked]
     np.testing.assert_allclose(got, want / len(calib), rtol=1e-9)
-
-
-def test_scores_ignore_gradients_left_by_an_unrelated_backward(rng):
-    """Scoring sets every gradient it reads: a model still holding the
-    gradients of some other loss scores as a fresh copy does."""
-    base = M.init(ModelConfig(), seed=6)
-    base.head_w.data[...] = rng.standard_normal(base.head_w.data.shape) * 0.1
-    calib = calib_items(n=10, seed=5)
-
-    def copy(stale):
-        model = base.copy()
-        params = [p for _, p in model.named_parameters() if p.requires_grad]
-        if stale:
-            unrelated = T.sum_all(T.mul(params[0], params[0]))
-            for p in params[1:]:
-                unrelated = T.add(unrelated, T.sum_all(T.mul(p, p)))
-            T.backward(unrelated)
-        assert all((p.grad is not None) == stale for p in params)
-        return model
-
-    def scores(stale):
-        model = copy(stale)
-        groups = I.build_dependency_groups(model)
-        I.taylor_group_importance(model, groups, calib)
-        model = copy(stale)
-        return ([g.importance for g in groups],
-                [group_scale_sensitivity(model, g, calib) for g in (groups[0], groups[-1])])
-
-    assert scores(stale=True) == scores(stale=False)
 
 
 def lookup_trained_tiny_model():

@@ -304,14 +304,12 @@ def test_one_item_list_is_bitwise_the_bare_triplet(rng):
     model.head_w.data[...] = rng.standard_normal(model.head_w.data.shape) * 0.1
     trip = make_triplet(cfg, rng, n_prompt=2, n_resp=2)
     runs = []
+    params = model.named_parameters()
     for items in (trip, [trip]):
-        for _, p in model.named_parameters():
-            p.grad = None
         trace = M.forward(model, items)
         loss = M.response_loss(trace, items)
-        T.backward(loss)
-        runs.append((trace, loss, {n: p.grad.copy() for n, p in model.named_parameters()
-                                   if p.grad is not None}))
+        grads = T.backward(loss, [p for _, p in params])
+        runs.append((trace, loss, {n: g for (n, _), g in zip(params, grads) if g is not None}))
     (ta, la, ga), (tb, lb, gb) = runs
     assert ta.layout == tb.layout and ta.n_items == tb.n_items == 1
     assert ta.logits.data.tobytes() == tb.logits.data.tobytes()

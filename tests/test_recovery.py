@@ -483,6 +483,20 @@ def test_config_validation():
         RecoveryConfig(data_fraction=0.0)
     with pytest.raises(ParameterError):
         RecoveryConfig(scope="everything")
+    # settings that would make SGD climb
+    for make, fields in [
+            (RecoveryConfig, dict(lr=0.0)), (RecoveryConfig, dict(lr=float("nan"))),
+            (RecoveryConfig, dict(momentum=1.0)), (RecoveryConfig, dict(momentum=-0.1)),
+            (RecoveryConfig, dict(eval_every=-1)), (R.TeacherConfig, dict(peak_lr=0.0)),
+            (R.TeacherConfig, dict(warmup=-1)), (R.TeacherConfig, dict(floor_frac=-0.1)),
+            (R.TeacherConfig, dict(floor_frac=1.5)), (R.TeacherConfig, dict(momentum=1.0)),
+            (R.TeacherConfig, dict(clip=0.0))]:
+        with pytest.raises(ParameterError):
+            make(**fields)
+    # the closed ends of those ranges stay valid
+    R.TeacherConfig(warmup=0, floor_frac=0.0, momentum=0.0)
+    R.TeacherConfig(floor_frac=1.0)
+    RecoveryConfig(momentum=0.0, eval_every=0)
 
 
 def test_vision_frozen_through_recovery():
@@ -506,11 +520,9 @@ def per_item_mean_loss(model, items):
 
 def loss_and_grads(model, build):
     params = [(n, p) for n, p in model.named_parameters() if p.requires_grad]
-    for _, p in params:
-        p.grad = None
     loss = build()
-    T.backward(loss)
-    return loss.item(), {n: p.grad.copy() for n, p in params}
+    grads = T.backward(loss, [p for _, p in params])
+    return loss.item(), {n: g for (n, _), g in zip(params, grads)}
 
 
 def test_batched_loss_and_gradients_match_per_item_mean(rng):
@@ -561,8 +573,7 @@ def recompute_teacher_oracle(student, teacher, pool, config):
         total = T.add(T.add(T.scale(sft, config.alpha), T.scale(logits, config.beta)),
                       T.scale(match, config.gamma))
         steps.append((sft.item(), logits.item(), match.item(), total.item()))
-        T.backward(total)
-        opt.step()
+        opt.step(T.backward(total, [p for _, p in params]))
     return steps
 
 

@@ -1,7 +1,6 @@
 """Tensor engine: op semantics against naive oracles, gradients against finite differences."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,64 +137,32 @@ def test_cross_entropy_nonnegative(vocab, n, seed):
 
 def test_backward_sum_gives_ones():
     w = Tensor(np.arange(6, dtype=float).reshape(2, 3), requires_grad=True)
-    T.backward(T.sum_all(w))
-    np.testing.assert_array_equal(w.grad, np.ones((2, 3)))
+    grad, = T.backward(T.sum_all(w), [w])
+    np.testing.assert_array_equal(grad, np.ones((2, 3)))
 
 
 def test_backward_sum_of_squares():
     w = Tensor([1.0, 2.0, 3.0], requires_grad=True)
-    T.backward(T.sum_all(T.mul(w, w)))
-    np.testing.assert_allclose(w.grad, [2.0, 4.0, 6.0], rtol=1e-6)
+    grad, = T.backward(T.sum_all(T.mul(w, w)), [w])
+    np.testing.assert_allclose(grad, [2.0, 4.0, 6.0], rtol=1e-6)
 
 
 def test_backward_fanout_accumulates():
     # y = x*x + x: dy/dx = 2x + 1, accumulation is additive over fan-out
     x = Tensor([3.0], requires_grad=True)
-    T.backward(T.sum_all(T.add(T.mul(x, x), x)))
-    np.testing.assert_allclose(x.grad, [7.0], rtol=1e-6)
-
-
-def test_second_backward_replaces_grad():
-    # a second backward on another loss replaces .grad; a leaf the second
-    # loss does not reach keeps the first one's gradient
-    x = Tensor([3.0, -1.0], requires_grad=True)
-    y = Tensor([2.0], requires_grad=True)
-    T.backward(T.add(T.sum_all(T.mul(x, x)), T.sum_all(T.mul(y, y))))
-    np.testing.assert_allclose(x.grad, [6.0, -2.0], rtol=1e-6)
-    T.backward(T.scale(T.sum_all(x), 5.0))
-    np.testing.assert_allclose(x.grad, [5.0, 5.0], rtol=1e-6)
-    np.testing.assert_allclose(y.grad, [4.0], rtol=1e-6)
-
-
-def test_backward_drops_the_old_gradient_before_making_the_new_one():
-    # numpy reports its buffers to tracemalloc: a second backward rises above
-    # what it starts from by one gradient of w less than the first, since w's
-    # old gradient is freed before the new one is allocated
-    w = Tensor(np.ones((1024, 1024)), requires_grad=True)
-
-    def peak_rise(loss):
-        start = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        T.backward(loss)
-        return tracemalloc.get_traced_memory()[1] - start
-
-    tracemalloc.start()
-    try:
-        first = peak_rise(T.sum_all(T.scale(w, 2.0)))
-        second = peak_rise(T.sum_all(T.scale(w, 3.0)))
-    finally:
-        tracemalloc.stop()
-    np.testing.assert_allclose(w.grad, 3.0)
-    assert second <= first - w.data.nbytes // 2, (first, second)
+    grad, = T.backward(T.sum_all(T.add(T.mul(x, x), x)), [x])
+    np.testing.assert_allclose(grad, [7.0], rtol=1e-6)
 
 
 def test_backward_rejects_nonscalar_root():
     w = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(GraphError):
-        T.backward(T.mul(w, w))
+        T.backward(T.mul(w, w), [w])
 
 
 def test_retained_nonleaf_grad_equals_leaf_grad(rng):
+    """A non-leaf in `wrt` gets the gradient an equal leaf gets; an off-tape
+    tensor gets None."""
     x = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
     w1 = Tensor(rng.standard_normal((6, 4)), requires_grad=True)
     w2 = Tensor(rng.standard_normal((3, 6)), requires_grad=True)
@@ -207,16 +174,14 @@ def test_retained_nonleaf_grad_equals_leaf_grad(rng):
 
     h = T.linear(x, w1)
     off_tape = Tensor(np.ones(2))
-    T.backward(tail(h), retain=[h, off_tape])
-    kept, kept_w2 = h.grad, w2.grad
-    assert kept is not None and off_tape.grad is None
-    assert x.grad is not None and w1.grad is not None
+    g_h, g_w2, g_x, g_w1, g_off = T.backward(tail(h), [h, w2, x, w1, off_tape])
+    assert g_h is not None and g_off is None
+    assert g_x is not None and g_w1 is not None
 
-    w2.grad = None
     leaf = Tensor(h.data, requires_grad=True)
-    T.backward(tail(leaf))
-    np.testing.assert_array_equal(kept, leaf.grad)
-    np.testing.assert_array_equal(kept_w2, w2.grad)
+    g_leaf, g_leaf_w2 = T.backward(tail(leaf), [leaf, w2])
+    np.testing.assert_array_equal(g_h, g_leaf)
+    np.testing.assert_array_equal(g_w2, g_leaf_w2)
 
 
 def test_backward_two_layer_mlp_matches_finite_differences(rng):
@@ -342,8 +307,8 @@ def test_determinism_bit_identical(rng):
     def run():
         x = Tensor(a, requires_grad=True)
         out = T.sum_all(T.gelu(T.matmul(x, Tensor(b))))
-        T.backward(out)
-        return out.data.copy(), x.grad.copy()
+        grad, = T.backward(out, [x])
+        return out.data.copy(), grad
 
     o1, g1 = run()
     o2, g2 = run()
