@@ -80,40 +80,6 @@ def decoder_param_count(shape):
     return sum(layer_param_count(shape, layer) for layer in shape.layers)
 
 
-def param_counts(shape):
-    """Closed-form parameter counts per scope."""
-    d = shape.d_model
-    counts = {
-        "vision": shape.d_descriptor * shape.n_visual_tokens * shape.d_vision,
-        "projector": shape.d_vision * d + d + d * d + d,
-        "embedding": shape.vocab_size * d,
-        "decoder-blocks": decoder_param_count(shape),
-        "final-norm": d,
-        "head": d * shape.vocab_size,
-    }
-    counts["total"] = (counts["vision"] + counts["projector"] + counts["embedding"]
-                       + counts["decoder-blocks"] + counts["final-norm"] + counts["head"])
-    return counts
-
-
-def count_params(model, scope="total"):
-    """Count live parameters of a model; scope names follow param_partition,
-    plus "decoder-blocks" (all layers) and "total"."""
-    from .model import param_partition
-
-    part = param_partition(model)
-    if scope == "total":
-        names = [n for group in part.values() for n in group]
-    elif scope == "decoder-blocks":
-        names = [n for s, group in part.items() if s.startswith("decoder-layer-") for n in group]
-    elif scope in part:
-        names = part[scope]
-    else:
-        raise ParameterError(f"unknown scope {scope!r}")
-    by_name = dict(model.named_parameters())
-    return sum(int(by_name[n].data.size) for n in names)
-
-
 def layer_flops(shape, layer, seq_len):
     d = shape.d_model
     width = layer.n_heads * shape.head_dim

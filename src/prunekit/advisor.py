@@ -24,7 +24,7 @@ from .accounting import (decoder_param_count, estimate_flops,
 from .tensor import ParameterError
 
 
-class OutOfValidatedRangeError(ValueError):
+class OutOfValidatedRangeError(ParameterError):
     """Target ratio above the validated range (reference runs cover <= 60%)."""
 
 

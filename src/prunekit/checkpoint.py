@@ -19,12 +19,14 @@ import zlib
 
 import numpy as np
 
+from .data import decode
 from .model import ModelConfig, from_arrays
+from .tensor import ParameterError
 
 MAGIC = b"PRUNEKIT_CKPT v1\n"
 
 
-class CheckpointError(ValueError):
+class CheckpointError(ParameterError):
     """Malformed checkpoint or checksum mismatch."""
 
 
@@ -61,35 +63,34 @@ def save(model, path, meta=None):
             f.write(raw)
 
 
+def _split(path, blob):
+    """(manifest, payload start) of the checkpoint bytes `blob` read from `path`."""
+    if not blob.startswith(MAGIC):
+        raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
+    line_end = blob.find(b"\n", len(MAGIC)) + 1 or len(blob)
+    try:
+        header_len = int(blob[len(MAGIC):line_end].strip())
+    except ValueError:
+        raise CheckpointError(f"{path}: malformed manifest length") from None
+    payload_start = line_end + header_len
+    if header_len < 0 or payload_start > len(blob):
+        raise CheckpointError(f"{path}: truncated manifest")
+    return decode(path, "manifest", blob[line_end:payload_start]), payload_start
+
+
 def read_manifest(path):
     with open(path, "rb") as f:
-        magic = f.read(len(MAGIC))
-        if magic != MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
-        line = f.readline()
-        try:
-            header_len = int(line.strip())
-        except ValueError:
-            raise CheckpointError(f"{path}: malformed manifest length") from None
-        header = f.read(header_len)
-        if len(header) != header_len:
-            raise CheckpointError(f"{path}: truncated manifest")
-        try:
-            manifest = json.loads(header.decode("utf-8"))
-        except ValueError as exc:  # a UnicodeDecodeError or a JSONDecodeError
-            raise CheckpointError(f"{path}: malformed manifest ({exc})") from exc
-        payload_start = f.tell()
-    return manifest, payload_start
+        return _split(path, f.read())
 
 
 def load(path):
     """Rebuild the model (including pruned shapes); returns (model, manifest)."""
-    manifest, payload_start = read_manifest(path)
+    with open(path, "rb") as f:
+        blob = f.read()
+    manifest, payload_start = _split(path, blob)
     if not isinstance(manifest, dict) or manifest.get("format_version") != 1:
         raise CheckpointError(f"{path}: unsupported format version")
-    with open(path, "rb") as f:
-        f.seek(payload_start)
-        payload = f.read()
+    payload = memoryview(blob)[payload_start:]
 
     try:
         arrays = {}

@@ -29,10 +29,9 @@ from . import importance as I
 from . import model as M
 from . import pruning as P
 from . import recovery as R
-from .advisor import OutOfValidatedRangeError, Scenario
-from .checkpoint import CheckpointError
-from .config import ConfigError, comma_list, data_settings, load_config, model_config, \
-    prune_settings, recovery_config, teacher_config
+from .advisor import Scenario
+from .config import comma_list, data_settings, load_config, model_config, prune_settings, \
+    recovery_config, teacher_config
 from .importance import NonFiniteGradientError
 from .pruning import Floors, InfeasiblePlanError, PlanModelMismatchError
 from .recovery import TrainingDivergedError
@@ -380,8 +379,7 @@ def main(argv=None):
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ConfigError, ParameterError, CheckpointError, FileNotFoundError,
-            OutOfValidatedRangeError, json.JSONDecodeError) as exc:
+    except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (TrainingDivergedError, NonFiniteGradientError) as exc:

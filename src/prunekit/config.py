@@ -5,22 +5,22 @@ Sections: [model] ModelConfig, [data] DataSettings, [teacher] TeacherConfig,
 the type of its default; a tuple field is a comma list. A `seed` field is
 not a key: the CLI derives every seed from its --seed. Every key is
 optional; CLI flags override file values. Unknown sections and keys fail
-loudly.
+loudly. A `%` in a value is literal.
 """
 
 from __future__ import annotations
 
 import configparser
 import dataclasses
-import os
 
 from . import data as D
 from .model import ModelConfig
 from .recovery import RecoveryConfig, TeacherConfig
+from .tensor import ParameterError
 
 
-class ConfigError(ValueError):
-    """Unreadable config file, unknown key, or bad value."""
+class ConfigError(ParameterError):
+    """Unparsable config file, unknown key, or bad value."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -60,11 +60,9 @@ def _parse(default, raw):
 
 def load_config(path):
     """Parse an INI file into {section: {key: typed value}}."""
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read(path)
+        parser.read_string(D.decode(path, "config file", as_json=False), source=path)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     out = {}

@@ -179,16 +179,30 @@ def save_dataset(path, train, evals, seed=None):
         f.write("\n")
 
 
+def decode(path, what, blob=None, as_json=True):
+    """The file at `path` (or its bytes `blob`) as UTF-8 text, parsed as JSON
+    when `as_json`. Every input file is read here. Bytes that do not decode
+    raise ParameterError "<path>: malformed <what> (...)"; a path that cannot
+    be opened raises its OSError."""
+    if blob is None:
+        with open(path, "rb") as f:
+            blob = f.read()
+    try:
+        text = blob.decode("utf-8")
+        return json.loads(text) if as_json else text
+    except ValueError as exc:  # bytes that are not UTF-8, or text that is not JSON
+        raise ParameterError(f"{path}: malformed {what} ({exc})") from exc
+
+
 def load_dataset(path):
-    with open(path, "r", encoding="utf-8") as f:
-        payload = json.load(f)
+    payload = decode(path, "dataset")
     if not (isinstance(payload, dict)
             and all(isinstance(payload.get(pool), list) for pool in ("train", "eval"))):
         raise ParameterError(f"{path}: dataset needs a 'train' and an 'eval' item list")
     if payload.get("descriptor_dim") != DESCRIPTOR_DIM:
         raise ParameterError(
-            f"dataset descriptor width {payload.get('descriptor_dim')} does not match "
-            f"this build's {DESCRIPTOR_DIM}")
+            f"{path}: dataset descriptor width {payload.get('descriptor_dim')} does not "
+            f"match this build's {DESCRIPTOR_DIM}")
     return tuple([_record_to_item(rec, f"{path}: {pool} record {i}")
                   for i, rec in enumerate(payload[pool])] for pool in ("train", "eval"))
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import model as M
 from . import tensor as T
-from .data import answer_support
+from .data import answer_support, decode
 from .tensor import ParameterError
 
 
@@ -100,15 +100,23 @@ def save_report(path, report, extra=None):
         f.write("\n")
 
 
+# the optional fields emit_report sorts on, and the types each may take
+_SORT_KEYS = {"ratio": (int, float), "strategy": (str,), "label": (str,)}
+
+
 def load_report(path):
-    with open(path, "r", encoding="utf-8") as f:
-        payload = json.load(f)
+    payload = decode(path, "eval report")
     if not (isinstance(payload, dict) and isinstance(payload.get("per_task"), dict)
             and isinstance(payload.get("counts"), dict)
             and all(type(v) in (int, float) for v in (payload.get("avg"),
                                                       *payload["per_task"].values()))):
         raise ParameterError(f"{path}: not an eval report (needs an object 'per_task' "
                              f"of numbers, an object 'counts' and a number 'avg')")
+    for key, types in _SORT_KEYS.items():
+        if key in payload and type(payload[key]) not in types:
+            raise ParameterError(f"{path}: eval report {key!r} must be of type "
+                                 f"{' or '.join(t.__name__ for t in types)}, "
+                                 f"got {payload[key]!r}")
     return EvalReport.from_dict(payload), payload
 
 

@@ -20,7 +20,7 @@ from . import tensor as T
 from .tensor import GraphError, ParameterError, Tensor
 
 
-class SequenceLengthError(ValueError):
+class SequenceLengthError(ParameterError):
     """The assembled token sequence exceeds the model's max_seq_len."""
 
 
@@ -41,8 +41,10 @@ class ModelConfig:
     def __post_init__(self):
         for name in ("vocab_size", "d_model", "n_layers", "n_heads", "head_dim",
                      "d_ffn", "n_visual_tokens", "d_vision", "d_descriptor", "max_seq_len"):
-            if getattr(self, name) < 1:
-                raise ParameterError(f"ModelConfig.{name} must be >= 1")
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ParameterError(f"ModelConfig.{name} must be an integer >= 1, "
+                                     f"got {value!r}")
         if self.n_heads * self.head_dim != self.d_model:
             raise ParameterError(
                 f"n_heads*head_dim must equal d_model at construction: "

@@ -103,13 +103,6 @@ class LoraAdapter:
 
 # --------------------------------------------------------------------- losses
 
-def sft_loss(student, items):
-    """Supervised objective: cross-entropy of the response tokens under the
-    student, averaged over items. Items may mix token layouts; each layout
-    bucket runs as one batched forward, weighted by its share of the items."""
-    return _batch_losses(student, M.as_items(items), None, RecoveryConfig())[0]
-
-
 def kd_logits_loss(student_trace, teacher_logits, tau, direction):
     """Token-averaged divergence between tau-softened response distributions.
 

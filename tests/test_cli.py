@@ -4,6 +4,8 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prunekit import checkpoint as C
 from prunekit import cli
@@ -183,6 +185,10 @@ def drop_meta(manifest):
     del manifest["meta"]
 
 
+def float_model_width(manifest):
+    manifest["config"]["d_model"] = 32.0
+
+
 @pytest.mark.parametrize("case, message", [
     ("layer-shapes-disagree", "layer_shapes [[2, 32], [4, 32]] disagree with the tensors' "
                               "[(4, 32), (4, 32)]"),
@@ -194,9 +200,10 @@ def drop_meta(manifest):
     ("manifest-not-utf8", "m.ckpt: malformed manifest ('utf-8' codec can't decode byte 0xff"),
     ("dataset-top-level-list", "d.json: dataset needs a 'train' and an 'eval' item list"),
     ("reference-without-per-task", "ref.json: not an eval report"),
+    ("config-float-width", "ModelConfig.d_model must be an integer >= 1, got 32.0"),
 ], ids=["layer-shapes-disagree", "layer-shapes-missing", "config-unknown-key", "meta-missing",
         "short-wk", "dataset-without-train", "manifest-not-utf8", "dataset-top-level-list",
-        "reference-without-per-task"])
+        "reference-without-per-task", "config-float-width"])
 def test_malformed_checkpoint_or_dataset_is_config_error(workspace, tmp_path, capsys,
                                                          case, message):
     ckpt, data, out = tmp_path / "m.ckpt", tmp_path / "d.json", tmp_path / "ev.json"
@@ -225,7 +232,8 @@ def test_malformed_checkpoint_or_dataset_is_config_error(workspace, tmp_path, ca
         edit_manifest(ckpt, {"layer-shapes-disagree": halve_first_block_heads,
                              "layer-shapes-missing": drop_layer_shapes,
                              "config-unknown-key": add_unknown_config_key,
-                             "meta-missing": drop_meta}[case])
+                             "meta-missing": drop_meta,
+                             "config-float-width": float_model_width}[case])
     code = run(["evaluate", "--ckpt", str(ckpt), "--data", str(data), "--out", str(out)]
                + reference)
     assert code == cli.EXIT_CONFIG
@@ -234,13 +242,18 @@ def test_malformed_checkpoint_or_dataset_is_config_error(workspace, tmp_path, ca
 
 
 @pytest.mark.parametrize("case", ["train-record-without-task", "lookup-meta-without-slot",
-                                  "vocab-below-token-ids"])
+                                  "vocab-below-token-ids", "dataset-not-utf8",
+                                  "config-not-utf8", "dataset-directory",
+                                  "prompt-past-max-seq-len"])
 def test_malformed_dataset_item_or_small_vocab_is_config_error(workspace, tmp_path, capsys,
                                                               case):
     cfg, data, out = tmp_path / "c.ini", tmp_path / "d.json", tmp_path / "t.ckpt"
     cfg.write_text(workspace["cfg"].read_text())
     payload = json.loads(workspace["data"].read_text())
-    if case == "train-record-without-task":
+    if case == "prompt-past-max-seq-len":  # 2 visual + 40 prompt + 1 response tokens
+        payload["train"][0]["prompt"] = [0] * 40
+        message = "sequence of 43 tokens exceeds max_seq_len=16"
+    elif case == "train-record-without-task":
         del payload["train"][0]["task"]
         message = "train record 0: unknown task None"
     elif case == "lookup-meta-without-slot":
@@ -251,10 +264,119 @@ def test_malformed_dataset_item_or_small_vocab_is_config_error(workspace, tmp_pa
         cfg.write_text(cfg.read_text().replace("vocab_size = 40", "vocab_size = 32"))
         message = "token id is outside [0, vocab_size=32)"
     data.write_text(json.dumps(payload))
+    if case == "dataset-not-utf8":
+        data.write_bytes(b"\xff\xfe" + data.read_bytes())
+        message = "d.json: malformed dataset ('utf-8' codec can't decode byte 0xff"
+    elif case == "config-not-utf8":
+        cfg.write_bytes(b"[model]\nd_model\xff = 32\n")
+        message = "c.ini: malformed config file ('utf-8' codec can't decode byte 0xff"
+    elif case == "dataset-directory":
+        data.unlink()
+        data.mkdir()
+        message = f"Is a directory: '{data}'"
     code = run(["train-teacher", "--config", str(cfg), "--data", str(data), "--out", str(out)])
     assert code == cli.EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def write_report(path, **fields):
+    path.write_text(json.dumps({"per_task": {"visual-count": 1.0}, "counts": {}, "avg": 1.0,
+                                **fields}))
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["report-not-utf8", "report-directory",
+                                  "report-ratio-mixed-types", "report-strategy-null",
+                                  "ckpt-directory", "advise-config-directory",
+                                  "percent-in-tasks"])
+def test_unreadable_or_mistyped_input_is_config_error(workspace, tmp_path, capsys, case):
+    """Each command's input files: one that cannot be opened or is not UTF-8
+    exits 2 naming its path, and so does a report whose sort key has the
+    wrong type. `%` in an INI value is literal."""
+    bad, out = tmp_path / "bad", tmp_path / "out"
+    outputs = [out, tmp_path / "out.manifest.json"]
+    if case.endswith("directory"):
+        bad.mkdir()
+        message = f"Is a directory: '{bad}'"
+    if case.startswith("report"):
+        if case == "report-not-utf8":
+            bad.write_bytes(b"\xff\xfe" + write_report(tmp_path / "r.json").encode())
+            message = "bad: malformed eval report ('utf-8' codec can't decode byte 0xff"
+        elif case == "report-ratio-mixed-types":
+            write_report(bad, ratio="x")
+            message = "bad: eval report 'ratio' must be of type int or float, got 'x'"
+        elif case == "report-strategy-null":
+            write_report(bad, strategy=None)
+            message = "bad: eval report 'strategy' must be of type str, got None"
+        argv = ["report", "--out-prefix", str(out),
+                write_report(tmp_path / "ok.json", ratio=0.1), str(bad)]
+        outputs = [tmp_path / f"out.{ext}" for ext in ("csv", "json", "manifest.json")]
+    elif case == "ckpt-directory":
+        argv = ["evaluate", "--ckpt", str(bad), "--data", str(workspace["data"]),
+                "--out", str(out)]
+    elif case == "advise-config-directory":
+        argv = ["advise", "--ratio", "0.3", "--config", str(bad)]
+    else:  # unknown task 'a%b', not an interpolation error
+        bad.write_text("[data]\ntasks = a%b\n")
+        message = "unknown task 'a%b'"
+        argv = ["generate-data", "--config", str(bad), "--out", str(out)]
+    assert run(argv) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert not any(path.exists() for path in outputs)
+
+
+@st.composite
+def mutations(draw, blob):
+    """`blob` truncated, with one byte flipped, or with a span replaced by
+    random bytes or text."""
+    i = draw(st.integers(0, len(blob) - 1))
+    how = draw(st.sampled_from(("truncate", "flip", "splice")))
+    if how == "truncate":
+        return blob[:i]
+    if how == "flip":
+        return blob[:i] + bytes([blob[i] ^ draw(st.integers(1, 255))]) + blob[i + 1:]
+    insert = draw(st.binary(max_size=8) | st.text(max_size=8).map(str.encode))
+    return blob[:i] + insert + blob[draw(st.integers(i, len(blob))):]
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(workspace):
+    """{input kind: (its valid bytes, the argv that reads it from `{in}`)}; every
+    output goes to `{out}`. INI files are fuzzed only through inspect, which
+    builds no model or dataset from them."""
+    ws = {k: str(v) for k, v in workspace.items()}
+    report = workspace["root"] / "fuzz-report.json"
+    assert run(["evaluate", "--ckpt", ws["teacher"], "--data", ws["data"],
+                "--out", str(report)]) == 0
+    return {
+        "dataset": (workspace["data"].read_bytes(),
+                    ["evaluate", "--ckpt", ws["teacher"], "--data", "{in}", "--out", "{out}"]),
+        "checkpoint": (workspace["teacher"].read_bytes(),
+                       ["evaluate", "--ckpt", "{in}", "--data", ws["data"], "--out", "{out}"]),
+        "report": (report.read_bytes(), ["report", "--out-prefix", "{out}", "{in}"]),
+        "config": (workspace["cfg"].read_bytes(),
+                   ["inspect", "--ckpt", ws["teacher"], "--data", ws["data"], "--mode", "bi",
+                    "--config", "{in}", "--out", "{out}"]),
+    }
+
+
+@pytest.mark.parametrize("kind", ["dataset", "checkpoint", "report", "config"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_malformed_input_file_exits_0_or_2_without_output(fuzz_inputs, tmp_path_factory, kind,
+                                                          data):
+    """A truncated, flipped or spliced input file never escapes as a traceback
+    (exit 1), and a rejected one leaves no output file."""
+    blob, argv = fuzz_inputs[kind]
+    root = tmp_path_factory.mktemp(kind)
+    (root / "in").write_bytes(data.draw(mutations(blob)))
+    code = run([a.format(**{"in": root / "in", "out": root / "out"}) for a in argv])
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG)
+    if code == cli.EXIT_CONFIG:
+        assert [p.name for p in root.iterdir()] == ["in"]
 
 
 def test_eval_fraction_leaving_no_training_items_is_config_error(tmp_path, capsys):

@@ -15,7 +15,8 @@ from prunekit import tensor as T
 from prunekit.importance import NonFiniteGradientError
 from prunekit.model import ModelConfig
 
-from conftest import group_scale_sensitivity, group_slices, quick_sgd, zero_group
+from conftest import group_scale_sensitivity, group_slices, lookup_trained_tiny_model, \
+    quick_sgd, zero_group
 
 
 def tiny_config(**kw):
@@ -243,20 +244,8 @@ def test_scale_sensitivity_matches_per_item_loop(rng):
     np.testing.assert_allclose(got, want / len(calib), rtol=1e-9)
 
 
-def lookup_trained_tiny_model():
-    """Pinned 1-layer/8-channel fixture: lookup-only training leaves the MLP
-    capacity-bound, so every channel carries graded utility."""
-    cfg = tiny_config()
-    train, _ = D.generate_dataset(n=240, seed=7)
-    pool = [t for t in train if t.task == "visual-lookup"]
-    model = M.init(cfg, seed=7)
-    quick_sgd(model, pool, steps=1000, lr=0.1, seed=7)
-    calib = D.draw_calibration(pool, n=16, seed=3)
-    return model, calib
-
-
 def test_taylor_matches_leave_one_group_out_spearman():
-    model, calib = lookup_trained_tiny_model()
+    model, _, calib = lookup_trained_tiny_model()
     groups = [g for g in I.build_dependency_groups(model) if g.kind == "mlp-channel"]
     assert len(groups) == 8
     I.taylor_group_importance(model, groups, calib)

@@ -10,6 +10,8 @@ from prunekit import tensor as T
 from prunekit.model import ModelConfig, SequenceLengthError, Triplet
 from prunekit.tensor import ParameterError
 
+from conftest import count_params, param_counts
+
 
 def make_triplet(cfg, rng, n_prompt=2, n_resp=1):
     return Triplet(
@@ -184,10 +186,10 @@ def test_init_param_count_matches_closed_form():
     cfg = ModelConfig(vocab_size=256, d_model=64, n_layers=4, n_heads=4, head_dim=16,
                       d_ffn=256, d_vision=32, n_visual_tokens=8)
     model = M.init(cfg, seed=0)
-    closed = A.param_counts(A.shape_of_config(cfg))
-    assert A.count_params(model) == closed["total"]
+    closed = param_counts(A.shape_of_config(cfg))
+    assert count_params(model) == closed["total"]
     for scope in ("vision", "projector", "embedding", "decoder-blocks", "final-norm", "head"):
-        assert A.count_params(model, scope) == closed[scope]
+        assert count_params(model, scope) == closed[scope]
 
 
 def test_config_validation():

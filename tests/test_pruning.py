@@ -22,7 +22,7 @@ from prunekit import tensor as T
 from prunekit.model import ModelConfig
 from prunekit.pruning import Floors, InfeasiblePlanError, PlanModelMismatchError
 
-from conftest import quick_sgd, zero_group
+from conftest import count_params, quick_sgd, zero_group
 
 
 @functools.lru_cache(maxsize=None)
@@ -313,9 +313,9 @@ def test_conservation_exact():
             report = width_report(clone, calib)
         else:
             report = I.block_influence(clone, calib)
-        before = A.count_params(clone, "decoder-blocks")
+        before = count_params(clone, "decoder-blocks")
         result = P.execute(clone, P.plan(mode, report, target))
-        after = A.count_params(clone, "decoder-blocks")
+        after = count_params(clone, "decoder-blocks")
         assert before == after + sum(e["params_removed"] for e in result.surgery_log)
 
 
@@ -420,10 +420,10 @@ def test_surgery_properties_on_random_feasible_victims(kind, data):
             assert np.abs(a - b).max() <= 1e-9
 
     pruned = base.copy()
-    before = A.count_params(pruned, "decoder-blocks")
+    before = count_params(pruned, "decoder-blocks")
     plan = plan_removing(pruned, victims)
     result = P.execute(pruned, plan)
-    removed = before - A.count_params(pruned, "decoder-blocks")
+    removed = before - count_params(pruned, "decoder-blocks")
     assert removed == sum(e["params_removed"] for e in result.surgery_log)
     assert removed == plan.predicted_params_removed
     assert all(p.data.flags.c_contiguous for _, p in pruned.named_parameters())

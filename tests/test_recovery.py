@@ -19,7 +19,7 @@ from prunekit.model import ForwardTrace, ModelConfig, TokenLayout, Triplet
 from prunekit.recovery import RecoveryConfig, TrainingDivergedError
 from prunekit.tensor import GraphError, ParameterError, Tensor
 
-from conftest import rel_err
+from conftest import rel_err, sft_loss
 
 
 def trace_from_logits(logits, n_prompt=1, n_resp=1):
@@ -246,7 +246,7 @@ def test_sft_uniform_logits_gives_log_vocab():
     cfg = ModelConfig(vocab_size=256)
     model = M.init(cfg, seed=0)  # zero head: logits exactly uniform
     train, _ = D.generate_dataset(n=30, seed=1)
-    loss = R.sft_loss(model, train[0])
+    loss = sft_loss(model, train[0])
     assert abs(loss.item() - math.log(256)) < 1e-5
 
 
@@ -257,7 +257,7 @@ def test_sft_memorized_teacher_pinned_value():
     train, _ = D.generate_dataset(n=30, seed=2)
     items = train[:4]
     R.train_teacher(model, items, R.TeacherConfig(steps=400, batch_size=4, seed=0))
-    losses = [R.sft_loss(model, it).item() for it in items]
+    losses = [sft_loss(model, it).item() for it in items]
     mean_loss = float(np.mean(losses))
     assert mean_loss < 0.01
     # regression anchor pinned from the first green run of this configuration
@@ -531,7 +531,7 @@ def test_batched_loss_and_gradients_match_per_item_mean(rng):
     train, _ = D.generate_dataset(n=90, seed=8)
     items = train[:70]  # both layouts, one of them over M.BUCKET_SIZE items
     assert len(M.layout_buckets(items)) >= 3
-    got, g_got = loss_and_grads(model, lambda: R.sft_loss(model, items))
+    got, g_got = loss_and_grads(model, lambda: sft_loss(model, items))
     want, g_want = loss_and_grads(model, lambda: per_item_mean_loss(model, items))
     assert rel_err(np.float64(got), np.float64(want)) <= 1e-5
     assert g_got.keys() == g_want.keys()
