@@ -89,16 +89,6 @@ def layer_flops(shape, layer, seq_len):
     return attn_proj + attn_scores + mlp
 
 
-def transformer_stack_flops(n_layers, d_model, n_heads, head_dim, d_ffn, seq_len,
-                            ffn_matrices=2):
-    """Blocks-only FLOPs for a plain stack (used for vision-tower estimates)."""
-    layer = LayerShape(n_heads, d_ffn)
-    shape = ShapeRecord(d_model=d_model, vocab_size=1, head_dim=head_dim,
-                        layers=(layer,) * n_layers, n_visual_tokens=1,
-                        d_vision=1, d_descriptor=1, ffn_matrices=ffn_matrices)
-    return sum(layer_flops(shape, l, seq_len) for l in shape.layers)
-
-
 def estimate_flops(shape, seq_len):
     """Forward-pass FLOPs for one sequence of seq_len tokens."""
     if seq_len < 1:
@@ -161,11 +151,10 @@ def llava_7b_shape():
     term is a ViT-L/14-336-shaped tower (24 layers, d=1024, 16 heads,
     ffn=4096, 577 tokens) costed with the same per-layer formula.
     """
-    vision = transformer_stack_flops(
-        n_layers=24, d_model=1024, n_heads=16, head_dim=64, d_ffn=4096,
-        seq_len=577, ffn_matrices=2)
-    return ShapeRecord(
+    decoder = ShapeRecord(
         d_model=4096, vocab_size=32000, head_dim=128,
         layers=(LayerShape(32, 11008),) * 32,
-        n_visual_tokens=576, d_vision=1024, d_descriptor=1024,
-        ffn_matrices=3, vision_flops_override=float(vision))
+        n_visual_tokens=576, d_vision=1024, d_descriptor=1024, ffn_matrices=3)
+    tower = replace(decoder, d_model=1024, head_dim=64, ffn_matrices=2)
+    vision = 24 * layer_flops(tower, LayerShape(16, 4096), seq_len=577)
+    return replace(decoder, vision_flops_override=float(vision))

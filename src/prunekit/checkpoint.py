@@ -14,12 +14,11 @@ checksums are validated on load.
 from __future__ import annotations
 
 import dataclasses
-import json
 import zlib
 
 import numpy as np
 
-from .data import decode
+from .data import decode, encode
 from .model import ModelConfig, from_arrays
 from .tensor import ParameterError
 
@@ -54,7 +53,7 @@ def save(model, path, meta=None):
         "tensors": tensors,
         "meta": meta or {},
     }
-    header = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    header = encode(manifest).encode("utf-8")
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(f"{len(header)}\n".encode("ascii"))

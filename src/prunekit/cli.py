@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 import time
@@ -76,20 +75,12 @@ def write_manifest(out_path, command, args_dict, inputs, outputs):
         "toolkit_version": __version__,
     }
     path = f"{out_path}.manifest.json"
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(manifest, f, sort_keys=True, indent=1)
-        f.write("\n")
+    D.write_jsonl(path, [manifest])
     return path
 
 
 def _load_cfg(path):
     return load_config(path) if path else {}
-
-
-def _write_history(path, history):
-    with open(path, "w", encoding="utf-8") as f:
-        for line in history.lines():
-            f.write(line + "\n")
 
 
 # ------------------------------------------------------------------- commands
@@ -119,9 +110,10 @@ def cmd_train_teacher(args):
     C.save(model, args.out, meta={"stage": "teacher", "seed": args.seed,
                                   "ratio": 0.0, "strategy": "none",
                                   "eval_avg": report.avg})
-    _write_history(f"{args.out}.history.txt", history)
+    history_path = f"{args.out}.history.jsonl"
+    D.write_jsonl(history_path, history.steps)
     write_manifest(args.out, "train-teacher", vars(args), [args.data],
-                   [args.out, f"{args.out}.history.txt"])
+                   [args.out, history_path])
     accs = " ".join(f"{k}={v:.3f}" for k, v in sorted(report.per_task.items()))
     print(f"teacher trained: avg={report.avg:.3f} ({accs})")
     return EXIT_OK
@@ -156,9 +148,7 @@ def cmd_inspect(args):
     else:
         extra = {"n_groups": len(report.groups)}
     payload = {"mode": args.mode, "records": records, **extra}
-    with open(args.out, "w", encoding="utf-8") as f:
-        json.dump(payload, f, sort_keys=True, separators=(",", ":"))
-        f.write("\n")
+    D.write_jsonl(args.out, [payload])
     write_manifest(args.out, "inspect", vars(args), [args.ckpt, args.data], [args.out])
     print(f"wrote {args.out}: {len(records)} records ({args.mode})")
     return EXIT_OK
@@ -179,10 +169,8 @@ def cmd_prune(args):
                                   "ratio": result.achieved_ratio,
                                   "strategy": f"{args.mode}",
                                   "seed": args.seed})
-    log_path = f"{args.out}.surgery.txt"
-    with open(log_path, "w", encoding="utf-8") as f:
-        for line in result.log_lines():
-            f.write(line + "\n")
+    log_path = f"{args.out}.surgery.jsonl"
+    D.write_jsonl(log_path, result.surgery_log)
     write_manifest(args.out, "prune", vars(args), [args.ckpt, args.data],
                    [args.out, log_path])
     print(f"pruned {args.mode} target={args.ratio:.2f} "
@@ -212,10 +200,11 @@ def cmd_recover(args):
         "recovery": recovery_tag,
         "seed": args.seed,
     })
-    _write_history(f"{args.out}.history.txt", history)
+    history_path = f"{args.out}.history.jsonl"
+    D.write_jsonl(history_path, history.steps)
     write_manifest(args.out, "recover", vars(args),
                    [args.student, args.teacher, args.data],
-                   [args.out, f"{args.out}.history.txt"])
+                   [args.out, history_path])
     print(f"recovered with {recovery_tag}: final total loss "
           f"{history.steps[-1]['total']:.4f} over {rcfg.steps} steps")
     return EXIT_OK
@@ -258,8 +247,7 @@ def cmd_advise(args):
                         data_budget_fraction=args.data_budget)
     rec = V.recommend(scenario, shape)
     if args.json:
-        payload = dataclasses.asdict(rec)
-        print(json.dumps(payload, sort_keys=True, indent=1))
+        print(D.encode(dataclasses.asdict(rec)))
     else:
         print(f"recommendation {rec.rule}:")
         for line in rec.lines():

@@ -4,8 +4,8 @@ Sections: [model] ModelConfig, [data] DataSettings, [teacher] TeacherConfig,
 [recovery] RecoveryConfig, [prune] PruneSettings. Each field is one key, of
 the type of its default; a tuple field is a comma list. A `seed` field is
 not a key: the CLI derives every seed from its --seed. Every key is
-optional; CLI flags override file values. Unknown sections and keys fail
-loudly. A `%` in a value is literal.
+optional; CLI flags override file values. Unknown sections (`[DEFAULT]`
+too) and keys fail loudly. A `%` in a value is literal.
 """
 
 from __future__ import annotations
@@ -60,7 +60,8 @@ def _parse(default, raw):
 
 def load_config(path):
     """Parse an INI file into {section: {key: typed value}}."""
-    parser = configparser.ConfigParser(interpolation=None)
+    # no header can name the empty default section, so [DEFAULT] is an unknown section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_string(D.decode(path, "config file", as_json=False), source=path)
     except configparser.Error as exc:

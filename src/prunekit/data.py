@@ -174,9 +174,7 @@ def save_dataset(path, train, evals, seed=None):
         "train": [_item_to_record(it) for it in train],
         "eval": [_item_to_record(it) for it in evals],
     }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, sort_keys=True, separators=(",", ":"))
-        f.write("\n")
+    write_jsonl(path, [payload])
 
 
 def decode(path, what, blob=None, as_json=True):
@@ -192,6 +190,19 @@ def decode(path, what, blob=None, as_json=True):
         return json.loads(text) if as_json else text
     except ValueError as exc:  # bytes that are not UTF-8, or text that is not JSON
         raise ParameterError(f"{path}: malformed {what} ({exc})") from exc
+
+
+def encode(payload):
+    """The canonical JSON text of `payload`: sorted keys, no spaces."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def write_jsonl(path, records):
+    """Write each record as one line of `encode(record)` in UTF-8. Every
+    output file but a checkpoint and a CSV is written here; a file holding
+    one object is a one-record call."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(encode(record) + "\n" for record in records)
 
 
 def load_dataset(path):

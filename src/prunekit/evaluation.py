@@ -10,14 +10,13 @@ reference model, whose own AVG-% is therefore exactly 100.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import model as M
 from . import tensor as T
-from .data import answer_support, decode
+from .data import answer_support, decode, write_jsonl
 from .tensor import ParameterError
 
 
@@ -95,9 +94,7 @@ def save_report(path, report, extra=None):
     payload = report.to_dict()
     if extra:
         payload.update(extra)
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, sort_keys=True, separators=(",", ":"))
-        f.write("\n")
+    write_jsonl(path, [payload])
 
 
 # the optional fields emit_report sorts on, and the types each may take
@@ -143,7 +140,5 @@ def emit_report(runs, csv_path, json_path):
         writer.writeheader()
         for r in rows:
             writer.writerow(r)
-    with open(json_path, "w", encoding="utf-8") as f:
-        json.dump({"runs": rows}, f, sort_keys=True, separators=(",", ":"))
-        f.write("\n")
+    write_jsonl(json_path, [{"runs": rows}])
     return rows

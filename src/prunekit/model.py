@@ -51,8 +51,9 @@ class ModelConfig:
                 f"{self.n_heads}*{self.head_dim} != {self.d_model}")
         if self.head_dim % 2 != 0:
             raise ParameterError("head_dim must be even (rotary embedding pairs)")
-        if self.rms_eps <= 0:
-            raise ParameterError("rms_eps must be positive")
+        if type(self.rms_eps) not in (int, float) or not self.rms_eps > 0:
+            raise ParameterError(f"ModelConfig.rms_eps must be a number > 0, "
+                                 f"got {self.rms_eps!r}")
 
 
 @dataclass(frozen=True)

@@ -56,10 +56,6 @@ class PruneResult:
     surgery_log: list  # per-victim dicts with exact parameter deltas
     achieved_ratio: float
 
-    def log_lines(self):
-        return [f"{e['victim']}\tparams_removed={e['params_removed']}"
-                for e in self.surgery_log]
-
 
 def plan(mode, report, target_ratio, floors=Floors()):
     """Build a PrunePlan from an importance report.

@@ -85,15 +85,6 @@ class LossBreakdown:
                            "l_match": l_match, "total": total,
                            "eval_metric": eval_metric})
 
-    def lines(self):
-        out = []
-        for s in self.steps:
-            ev = "" if s["eval_metric"] is None else f"\teval={s['eval_metric']:.6f}"
-            out.append(f"step={s['step']}\tl_sft={s['l_sft']:.6f}"
-                       f"\tl_logits={s['l_logits']:.6f}\tl_match={s['l_match']:.6f}"
-                       f"\ttotal={s['total']:.6f}{ev}")
-        return out
-
 
 @dataclass
 class LoraAdapter:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from prunekit import checkpoint as C
 from prunekit import cli
+from prunekit import data as D
 
 
 def run(argv):
@@ -149,6 +150,11 @@ def test_recovery_seed_in_a_config_file_is_config_error(workspace, tmp_path, cap
     assert not out.exists()
 
 
+def jsonl_records(path):
+    with open(path, encoding="utf-8") as f:
+        return [json.loads(line) for line in f]
+
+
 def test_recover_evaluates_every_eval_every_steps(workspace, tmp_path):
     cfg = tmp_path / "eval.ini"
     cfg.write_text(workspace["cfg"].read_text() + "eval_every = 1\n")
@@ -156,8 +162,41 @@ def test_recover_evaluates_every_eval_every_steps(workspace, tmp_path):
     assert run(["recover", "--student", str(workspace["teacher"]), "--teacher",
                 str(workspace["teacher"]), "--data", str(workspace["data"]),
                 "--config", str(cfg), "--out", str(out), "--steps", "3"]) == 0
-    lines = (tmp_path / "recovered.ckpt.history.txt").read_text().splitlines()
-    assert len(lines) == 3 and all("\teval=" in line for line in lines)
+    records = jsonl_records(tmp_path / "recovered.ckpt.history.jsonl")
+    assert len(records) == 3 and all(r["eval_metric"] is not None for r in records)
+
+
+def test_train_teacher_eval_during_evaluates_every_200_steps(workspace, tmp_path):
+    out = tmp_path / "teacher.ckpt"
+    assert run(["train-teacher", "--config", str(workspace["cfg"]), "--data",
+                str(workspace["data"]), "--out", str(out), "--steps", "3",
+                "--eval-during"]) == 0
+    records = jsonl_records(tmp_path / "teacher.ckpt.history.jsonl")
+    assert [r["step"] for r in records] == [0, 1, 2]
+    assert [r["eval_metric"] is not None for r in records] == [True, False, False]
+
+
+def test_history_and_surgery_files_hold_the_in_memory_records(workspace, tmp_path,
+                                                              monkeypatch):
+    made = {}
+    for module, name in ((cli.R, "train_teacher"), (cli.P, "execute"), (cli.R, "train")):
+        def keep(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            made[_name] = _fn(*args, **kwargs)
+            return made[_name]
+        monkeypatch.setattr(module, name, keep)
+    teacher, pruned, recovered = (tmp_path / f"{n}.ckpt" for n in ("t", "p", "r"))
+    common = ["--data", str(workspace["data"]), "--config", str(workspace["cfg"])]
+    assert run(["train-teacher", "--out", str(teacher), "--steps", "3"] + common) == 0
+    assert run(["prune", "--ckpt", str(workspace["teacher"]), "--mode", "widthwise",
+                "--ratio", "0.2", "--out", str(pruned), "--calib-size", "4"] + common) == 0
+    assert run(["recover", "--student", str(pruned), "--teacher", str(workspace["teacher"]),
+                "--out", str(recovered), "--steps", "3"] + common) == 0
+    for out, log, records in ((teacher, "history", made["train_teacher"].steps),
+                              (pruned, "surgery", made["execute"].surgery_log),
+                              (recovered, "history", made["train"].steps)):
+        path = f"{out}.{log}.jsonl"
+        assert len(records) > 0 and jsonl_records(path) == records
+        assert jsonl_records(f"{out}.manifest.json")[0]["outputs"] == [str(out), path]
 
 
 def edit_manifest(path, edit):
@@ -165,7 +204,7 @@ def edit_manifest(path, edit):
     manifest, start = C.read_manifest(path)
     payload = path.read_bytes()[start:]
     edit(manifest)
-    header = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    header = D.encode(manifest).encode("utf-8")
     path.write_bytes(C.MAGIC + f"{len(header)}\n".encode("ascii") + header + payload)
 
 
@@ -189,6 +228,14 @@ def float_model_width(manifest):
     manifest["config"]["d_model"] = 32.0
 
 
+def bool_rms_eps(manifest):
+    manifest["config"]["rms_eps"] = True
+
+
+def str_rms_eps(manifest):
+    manifest["config"]["rms_eps"] = "x"
+
+
 @pytest.mark.parametrize("case, message", [
     ("layer-shapes-disagree", "layer_shapes [[2, 32], [4, 32]] disagree with the tensors' "
                               "[(4, 32), (4, 32)]"),
@@ -201,9 +248,12 @@ def float_model_width(manifest):
     ("dataset-top-level-list", "d.json: dataset needs a 'train' and an 'eval' item list"),
     ("reference-without-per-task", "ref.json: not an eval report"),
     ("config-float-width", "ModelConfig.d_model must be an integer >= 1, got 32.0"),
+    ("config-bool-rms-eps", "ModelConfig.rms_eps must be a number > 0, got True"),
+    ("config-str-rms-eps", "ModelConfig.rms_eps must be a number > 0, got 'x'"),
 ], ids=["layer-shapes-disagree", "layer-shapes-missing", "config-unknown-key", "meta-missing",
         "short-wk", "dataset-without-train", "manifest-not-utf8", "dataset-top-level-list",
-        "reference-without-per-task", "config-float-width"])
+        "reference-without-per-task", "config-float-width", "config-bool-rms-eps",
+        "config-str-rms-eps"])
 def test_malformed_checkpoint_or_dataset_is_config_error(workspace, tmp_path, capsys,
                                                          case, message):
     ckpt, data, out = tmp_path / "m.ckpt", tmp_path / "d.json", tmp_path / "ev.json"
@@ -233,7 +283,9 @@ def test_malformed_checkpoint_or_dataset_is_config_error(workspace, tmp_path, ca
                              "layer-shapes-missing": drop_layer_shapes,
                              "config-unknown-key": add_unknown_config_key,
                              "meta-missing": drop_meta,
-                             "config-float-width": float_model_width}[case])
+                             "config-float-width": float_model_width,
+                             "config-bool-rms-eps": bool_rms_eps,
+                             "config-str-rms-eps": str_rms_eps}[case])
     code = run(["evaluate", "--ckpt", str(ckpt), "--data", str(data), "--out", str(out)]
                + reference)
     assert code == cli.EXIT_CONFIG
@@ -457,7 +509,7 @@ def test_pipeline_composability_and_manifests(workspace, capsys):
             manifest = json.load(f)
         assert manifest["command"] in ("prune", "recover", "evaluate")
         assert "timestamp" in manifest
-    assert (pruned.parent / (pruned.name + ".surgery.txt")).exists()
+    assert (pruned.parent / (pruned.name + ".surgery.jsonl")).exists()
     with open(ev_r) as f:
         payload = json.load(f)
     # end-to-end regression floor, pinned after the first green run

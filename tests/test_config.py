@@ -81,6 +81,8 @@ def test_every_key_resolves_to_its_field_type(section):
     ("[recovery]\nmatch_layers = -1, last\n", "bad value for [recovery] match_layers"),
     ("[prune]\nmin_channels = none\n", "bad value for [prune] min_channels"),
     ("[teacher]\nseed = 3\n", "unknown key 'seed' in [teacher]; --seed sets every seed"),
+    ("[DEFAULT]\nbogus = 1\n", "unknown section [DEFAULT]"),
+    ("[DEFAULT]\nbogus = 1\n[prune]\ncalib_size = 3\n", "unknown section [DEFAULT]"),
 ])
 def test_unknown_key_or_section_and_bad_value_are_config_errors(tmp_path, text, needle):
     with pytest.raises(C.ConfigError, match=needle.replace("[", r"\[").replace("]", r"\]")):

@@ -86,6 +86,24 @@ def test_dataset_file_roundtrip_and_byte_stability(tmp_path):
     for a, b in zip(train + evals, t2 + e2):
         assert a.task == b.task and a.x_p == b.x_p and a.x_r == b.x_r
         assert np.array_equal(a.x_v, b.x_v)
+    records = [[{"task": it.task, "meta": it.meta, "prompt": list(it.x_p),
+                 "response": list(it.x_r)} for it in pool] for pool in (train, evals)]
+    payload = {"version": 1, "seed": 4, "descriptor_dim": D.DESCRIPTOR_DIM,
+               "train": records[0], "eval": records[1]}
+    assert D.decode(p1, "dataset") == payload
+    assert p1.read_text(encoding="utf-8") == D.encode(payload) + "\n"
+
+
+def test_write_jsonl_writes_one_decodable_line_per_record(tmp_path):
+    records = [{"step": 0, "total": 0.1, "eval_metric": None},
+               {"victim": "layer1.mlp-channel.7", "params_removed": 128},
+               {"nested": {"b": [1, 2.5], "a": "\u00e9"}}]
+    path = tmp_path / "r.jsonl"
+    D.write_jsonl(path, records)
+    lines = path.read_bytes().decode("utf-8").split("\n")
+    assert lines[-1] == "" and len(lines[:-1]) == 3
+    assert [D.decode(path, "line", line.encode("utf-8")) for line in lines[:-1]] == records
+    assert lines[2] == '{"nested":{"a":"\\u00e9","b":[1,2.5]}}'
 
 
 def test_calibration_draw_deterministic_and_default_size():

@@ -100,6 +100,9 @@ def test_report_save_load_roundtrip(tmp_path):
     loaded, payload = E.load_report(path)
     assert loaded.per_task == rep.per_task and loaded.avg_pct == 80.0
     assert payload["ratio"] == 0.3
+    assert D.decode(path, "eval report") == {**rep.to_dict(), "ratio": 0.3,
+                                             "strategy": "widthwise+ft"}
+    assert path.read_text(encoding="utf-8") == D.encode(payload) + "\n"
 
 
 def test_emit_report_contains_tuple_per_run(tmp_path):
