@@ -25,13 +25,23 @@ teacher copy right after its Taylor scoring. Last come the plans for that
 scored teacher: one line per mode and target ratio 0.15, 0.3, 0.45 and 0.6
 with the victim ids and the predicted parameter removal, then the
 InfeasiblePlanError text of layerwise 0.9 and of widthwise 0.99.
-Two source trees resolve configs, train and prune bit-identically when their
-outputs are equal:
+After them comes one line per artifact of a short `prunekit` pipeline on
+configs/toy.ini, run through `cli.main` in a temporary directory: the
+dataset, a 60-step teacher, `inspect` in both modes, layerwise and
+widthwise 0.25 prunes, a 20-step joint recovery with hidden-state matching,
+eval reports with and without a reference, and the `report` CSV and JSON.
+Each line holds the file name and the SHA-256 of its bytes; the history
+and surgery logs are artifacts too. Manifests are left out: they carry a
+timestamp and paths.
+Two source trees resolve configs, train, prune and write every CLI artifact
+bit-identically when their outputs are equal:
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 scripts/training_fingerprint.py
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -39,6 +49,7 @@ import sys
 import tempfile
 
 from prunekit import checkpoint as C
+from prunekit import cli
 from prunekit import config as CFG
 from prunekit import data as D
 from prunekit import evaluation as E
@@ -97,6 +108,47 @@ def pruned_line(name, model, items):
                        "reloaded_layer_shapes": reloaded.layer_shapes(),
                        "reloaded_logits_sha256": logits_sha256(reloaded, batches)},
                       sort_keys=True)
+
+
+def pipeline(tmp):
+    """The argv of each command of the CLI pipeline, writing into `tmp`."""
+    def out(name):
+        return os.path.join(tmp, name)
+
+    config = ["--config", str(ROOT / "configs" / "toy.ini")]
+    data = ["--data", out("data.json")]
+    teacher = out("teacher.ckpt")
+    evals = [out(f"{name}.eval.json") for name in ("teacher", "layerwise", "widthwise",
+                                                    "recovered")]
+    return [
+        ["generate-data", "--out", out("data.json")] + config,
+        ["train-teacher", "--out", teacher, "--steps", "60"] + data + config,
+        *(["inspect", "--ckpt", teacher, "--mode", mode, "--out", out(f"{mode}.json")]
+          + data + config for mode in ("bi", "taylor")),
+        *(["prune", "--ckpt", teacher, "--mode", mode, "--ratio", "0.25",
+           "--out", out(f"{mode}.ckpt")] + data + config for mode in ("layerwise", "widthwise")),
+        ["recover", "--student", out("widthwise.ckpt"), "--teacher", teacher,
+         "--out", out("recovered.ckpt"), "--scope", "joint", "--gamma", "1",
+         "--steps", "20"] + data + config,
+        ["evaluate", "--ckpt", teacher, "--out", evals[0]] + data,
+        *(["evaluate", "--ckpt", out(f"{name}.ckpt"), "--reference", evals[0],
+           "--out", path] + data
+          for name, path in zip(("layerwise", "widthwise", "recovered"), evals[1:])),
+        ["report", "--out-prefix", out("report"), *evals],
+    ]
+
+
+def print_cli_artifacts():
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in pipeline(tmp):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv)
+            if code != cli.EXIT_OK:
+                raise SystemExit(f"prunekit {argv[0]} exited {code}")
+        for name in sorted(os.listdir(tmp)):
+            if not name.endswith(".manifest.json"):
+                with open(os.path.join(tmp, name), "rb") as f:
+                    print(json.dumps({"artifact": name, "sha256": sha256(f.read())}))
 
 
 def main():
@@ -164,6 +216,7 @@ def main():
             print(json.dumps({"plan": f"{mode}-{ratio}", "infeasible": str(exc)}))
         else:
             raise SystemExit(f"{mode} {ratio} was expected to be infeasible")
+    print_cli_artifacts()
 
 
 if __name__ == "__main__":

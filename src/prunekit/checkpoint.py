@@ -77,11 +77,6 @@ def _split(path, blob):
     return decode(path, "manifest", blob[line_end:payload_start]), payload_start
 
 
-def read_manifest(path):
-    with open(path, "rb") as f:
-        return _split(path, f.read())
-
-
 def load(path):
     """Rebuild the model (including pruned shapes); returns (model, manifest)."""
     with open(path, "rb") as f:

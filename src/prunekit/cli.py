@@ -226,12 +226,12 @@ def cmd_evaluate(args):
     _, evals = D.load_dataset(args.data)
     reference = None
     if args.reference:
-        reference, _ = E.load_report(args.reference)
+        reference = E.load_report(args.reference)
     label = args.label or os.path.basename(args.ckpt)
     report = E.evaluate(model, evals, reference_report=reference, label=label)
-    extra = {"ratio": meta["meta"].get("ratio", 0.0),
-             "strategy": meta["meta"].get("strategy", "none")}
-    E.save_report(args.out, report, extra=extra)
+    report = dataclasses.replace(report, **{k: v for k, v in meta["meta"].items()
+                                            if k in ("ratio", "strategy")})
+    E.save_report(args.out, report)
     write_manifest(args.out, "evaluate", vars(args),
                    [args.ckpt, args.data] + ([args.reference] if args.reference else []),
                    [args.out])
@@ -256,13 +256,9 @@ def cmd_advise(args):
 
 
 def cmd_report(args):
-    runs = []
-    for path in args.evals:
-        _, payload = E.load_report(path)
-        runs.append(payload)
     csv_path = f"{args.out_prefix}.csv"
     json_path = f"{args.out_prefix}.json"
-    rows = E.emit_report(runs, csv_path, json_path)
+    rows = E.emit_report([E.load_report(p) for p in args.evals], csv_path, json_path)
     write_manifest(args.out_prefix, "report", vars(args), list(args.evals),
                    [csv_path, json_path])
     print(f"wrote {csv_path} and {json_path}: {len(rows)} runs")

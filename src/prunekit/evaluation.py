@@ -10,7 +10,7 @@ reference model, whose own AVG-% is therefore exactly 100.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -22,28 +22,16 @@ from .tensor import ParameterError
 
 @dataclass
 class EvalReport:
+    """One evaluation; an eval-report file holds exactly these fields.
+    `ratio` and `strategy` describe the evaluated checkpoint."""
     per_task: dict
     counts: dict
     avg: float
     avg_pct: float | None = None
     reference: str | None = None
     label: str = "model"
-
-    def to_dict(self):
-        return {
-            "label": self.label,
-            "per_task": dict(sorted(self.per_task.items())),
-            "counts": dict(sorted(self.counts.items())),
-            "avg": self.avg,
-            "avg_pct": self.avg_pct,
-            "reference": self.reference,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(per_task=d["per_task"], counts=d["counts"], avg=d["avg"],
-                   avg_pct=d.get("avg_pct"), reference=d.get("reference"),
-                   label=d.get("label", "model"))
+    ratio: float = 0.0
+    strategy: str = "none"
 
 
 def predict_answer(model, items):
@@ -90,18 +78,17 @@ def evaluate(model, eval_pool, reference_report=None, label="model"):
     return report
 
 
-def save_report(path, report, extra=None):
-    payload = report.to_dict()
-    if extra:
-        payload.update(extra)
-    write_jsonl(path, [payload])
+def save_report(path, report):
+    write_jsonl(path, [asdict(report)])
 
 
-# the optional fields emit_report sorts on, and the types each may take
-_SORT_KEYS = {"ratio": (int, float), "strategy": (str,), "label": (str,)}
+# the types each optional field may take
+_FIELD_TYPES = {"avg_pct": (int, float, type(None)), "reference": (str, type(None)),
+                "label": (str,), "ratio": (int, float), "strategy": (str,)}
 
 
 def load_report(path):
+    """The EvalReport of an eval-report file; unknown keys are ignored."""
     payload = decode(path, "eval report")
     if not (isinstance(payload, dict) and isinstance(payload.get("per_task"), dict)
             and isinstance(payload.get("counts"), dict)
@@ -109,30 +96,21 @@ def load_report(path):
                                                       *payload["per_task"].values()))):
         raise ParameterError(f"{path}: not an eval report (needs an object 'per_task' "
                              f"of numbers, an object 'counts' and a number 'avg')")
-    for key, types in _SORT_KEYS.items():
+    for key, types in _FIELD_TYPES.items():
         if key in payload and type(payload[key]) not in types:
-            raise ParameterError(f"{path}: eval report {key!r} must be of type "
-                                 f"{' or '.join(t.__name__ for t in types)}, "
+            names = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+            raise ParameterError(f"{path}: eval report {key!r} must be of type {names}, "
                                  f"got {payload[key]!r}")
-    return EvalReport.from_dict(payload), payload
+    return EvalReport(**{f.name: payload[f.name] for f in fields(EvalReport)
+                         if f.name in payload})
 
 
-def emit_report(runs, csv_path, json_path):
-    """Aggregate (ratio, strategy, AVG-%) tuples from per-run eval payloads.
-
-    `runs` is a list of dicts as written by save_report (with optional
-    "ratio"/"strategy" keys). Emits plot-ready CSV plus a JSON variant.
-    """
-    rows = []
-    for payload in runs:
-        rows.append({
-            "label": payload.get("label", "model"),
-            "ratio": payload.get("ratio", 0.0),
-            "strategy": payload.get("strategy", "none"),
-            "avg": payload.get("avg"),
-            "avg_pct": payload.get("avg_pct"),
-            **{f"acc_{k}": v for k, v in sorted(payload.get("per_task", {}).items())},
-        })
+def emit_report(reports, csv_path, json_path):
+    """Aggregate (ratio, strategy, AVG-%) rows from EvalReports into
+    plot-ready CSV plus a JSON variant."""
+    rows = [{"label": r.label, "ratio": r.ratio, "strategy": r.strategy, "avg": r.avg,
+             "avg_pct": r.avg_pct, **{f"acc_{k}": v for k, v in sorted(r.per_task.items())}}
+            for r in reports]
     rows.sort(key=lambda r: (r["strategy"], r["ratio"], r["label"]))
     fieldnames = sorted({k for r in rows for k in r}, key=lambda k: (k != "label", k))
     with open(csv_path, "w", encoding="utf-8", newline="") as f:

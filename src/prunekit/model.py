@@ -137,9 +137,6 @@ def layout_buckets(items, size=BUCKET_SIZE):
 
 # The only parameter no training updates.
 _FROZEN = "vision.w"
-# Scope of each model-level name prefix; "layers.<i>" is "decoder-layer-<i>".
-_SCOPES = {"vision": "vision", "projector": "projector", "embed": "embedding",
-           "final_norm": "final-norm", "head": "head"}
 
 
 def _layout(config, widths):
@@ -359,14 +356,3 @@ def response_loss(trace, items):
     averaged over all such rows of the trace's items."""
     targets = [t for it in as_items(items) for t in it.x_r]
     return T.cross_entropy(response_rows(trace, trace.logits), targets)
-
-
-def param_partition(model):
-    """Map scope -> parameter names; every parameter in exactly one scope."""
-    part = {}
-    for name, _ in model.named_parameters():
-        prefix, rest = name.split(".", 1)
-        scope = (f"decoder-layer-{rest.split('.', 1)[0]}" if prefix == "layers"
-                 else _SCOPES[prefix])
-        part.setdefault(scope, []).append(name)
-    return part

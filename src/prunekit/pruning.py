@@ -46,10 +46,6 @@ class PrunePlan:
     decoder_params: int
     fingerprint: tuple  # per-layer (n_heads, d_ffn) of the source model
 
-    @property
-    def predicted_ratio(self):
-        return self.predicted_params_removed / self.decoder_params
-
 
 @dataclass
 class PruneResult:

@@ -206,13 +206,10 @@ class Sgd:
         for (n, p), g in zip(self.named_params, grads):
             if g is None:
                 continue
-            g = g * grad_scale
-            if self.momentum:
-                v = self.velocity[n]
-                v *= self.momentum
-                v += g
-                g = v
-            p.data -= self.lr * g
+            v = self.velocity[n]
+            v *= self.momentum
+            v += g * grad_scale
+            p.data -= self.lr * v
 
 
 def subsample(pool, fraction, seed):
@@ -223,8 +220,7 @@ def subsample(pool, fraction, seed):
 
 def _trainable_params(student):
     """The projector's parameters and those of every attached LoRA adapter."""
-    names = set(M.param_partition(student)["projector"])
-    chosen = [(n, p) for n, p in student.named_parameters() if n in names]
+    chosen = [(n, p) for n, p in student.named_parameters() if n.startswith("projector.")]
     for name, ad in student.lora.items():
         chosen += [(f"{name}.lora_a", ad.a), (f"{name}.lora_b", ad.b)]
     return chosen

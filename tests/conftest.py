@@ -1,6 +1,7 @@
 """Shared oracles and fixtures: finite differences, gradient checks, data helpers,
-parameter counts, the SFT loss, the weight slices of a dependency group with
-their signed Taylor sensitivity, and the trained tiny model of the Taylor tests."""
+the parameter partition and counts, the SFT loss, a checkpoint-manifest editor,
+the weight slices of a dependency group with their signed Taylor sensitivity,
+and the trained tiny model of the Taylor tests."""
 
 import functools
 from dataclasses import dataclass
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from prunekit import accounting as A
+from prunekit import checkpoint as C
 from prunekit import data as D
 from prunekit import importance as I
 from prunekit import model as M
@@ -109,10 +111,26 @@ def param_counts(shape):
     return counts
 
 
+# Scope of each model-level name prefix; "layers.<i>" is "decoder-layer-<i>".
+_SCOPES = {"vision": "vision", "projector": "projector", "embed": "embedding",
+           "final_norm": "final-norm", "head": "head"}
+
+
+def param_partition(model):
+    """Map scope -> parameter names; every parameter in exactly one scope."""
+    part = {}
+    for name, _ in model.named_parameters():
+        prefix, rest = name.split(".", 1)
+        scope = (f"decoder-layer-{rest.split('.', 1)[0]}" if prefix == "layers"
+                 else _SCOPES[prefix])
+        part.setdefault(scope, []).append(name)
+    return part
+
+
 def count_params(model, scope="total"):
     """Live parameters of a model, counted off its arrays; scope names follow
     param_partition, plus "decoder-blocks" (all layers) and "total"."""
-    part = M.param_partition(model)
+    part = param_partition(model)
     if scope == "total":
         names = [n for group in part.values() for n in group]
     elif scope == "decoder-blocks":
@@ -130,6 +148,16 @@ def sft_loss(student, items):
     averaged over items, through recovery training's bucket-weighted batch
     losses. Items may mix token layouts."""
     return R._batch_losses(student, M.as_items(items), None, R.RecoveryConfig())[0]
+
+
+def edit_manifest(path, edit):
+    """Apply `edit` to the manifest of the checkpoint at `path` in place,
+    keeping the payload."""
+    blob = path.read_bytes()
+    manifest, start = C._split(path, blob)
+    edit(manifest)
+    header = D.encode(manifest).encode("utf-8")
+    path.write_bytes(C.MAGIC + f"{len(header)}\n".encode("ascii") + header + blob[start:])
 
 
 @functools.cache

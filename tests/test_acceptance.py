@@ -29,7 +29,7 @@ from prunekit.recovery import RecoveryConfig, TeacherConfig
 from prunekit.tensor import Tensor
 
 from conftest import count_params, finite_diff_grads, group_scale_sensitivity, group_slices, \
-    lookup_trained_tiny_model, quick_sgd, rel_err, zero_group
+    lookup_trained_tiny_model, param_partition, quick_sgd, rel_err, zero_group
 
 
 def report_pass(n, text):
@@ -406,7 +406,7 @@ def test_criterion_07_scope_isolation(teacher, dataset):
     cfg = RecoveryConfig(alpha=1.0, scope="projector", lr=0.05, steps=40,
                          batch_size=8, seed=0)
     R.train(student, teacher, train, cfg)
-    proj = set(M.param_partition(student)["projector"])
+    proj = set(param_partition(student)["projector"])
     for name, p in student.named_parameters():
         if name not in proj:
             assert p.data.tobytes() == before[name].tobytes(), name

@@ -1,7 +1,5 @@
 """Checkpoint round-trip fidelity, corruption detection, pruned-shape rebuild."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -14,7 +12,7 @@ from prunekit import tensor as T
 from prunekit.checkpoint import CheckpointError
 from prunekit.model import ModelConfig
 
-from conftest import quick_sgd
+from conftest import edit_manifest, quick_sgd
 
 
 def forward_bytes(model, items):
@@ -93,15 +91,6 @@ def test_layerwise_pruned_roundtrip(tmp_path):
     assert forward_bytes(loaded, train[:3]) == forward_bytes(model, train[:3])
 
 
-def rewrite_tensor_index(path, edit):
-    """Apply `edit` to the manifest's tensor index, keeping the payload."""
-    manifest, start = C.read_manifest(path)
-    payload = path.read_bytes()[start:]
-    edit(manifest["tensors"])
-    header = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    path.write_bytes(C.MAGIC + f"{len(header)}\n".encode("ascii") + header + payload)
-
-
 def drop_entry(tensors):
     tensors[:] = [t for t in tensors if t["name"] != "layers.1.mlp.down"]
 
@@ -122,7 +111,7 @@ def add_non_block_entry(tensors):
 def test_load_rejects_a_missing_or_extra_tensor(tmp_path, edit, message):
     path = tmp_path / "m.ckpt"
     C.save(M.init(ModelConfig(n_layers=2), seed=0), path)
-    rewrite_tensor_index(path, edit)
+    edit_manifest(path, lambda manifest: edit(manifest["tensors"]))
     with pytest.raises(CheckpointError) as exc:
         C.load(path)
     assert message in str(exc.value)

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from prunekit import checkpoint as C
 from prunekit import cli
-from prunekit import data as D
+from prunekit import evaluation as E
+
+from conftest import edit_manifest
 
 
 def run(argv):
@@ -199,15 +201,6 @@ def test_history_and_surgery_files_hold_the_in_memory_records(workspace, tmp_pat
         assert jsonl_records(f"{out}.manifest.json")[0]["outputs"] == [str(out), path]
 
 
-def edit_manifest(path, edit):
-    """Apply `edit` to the checkpoint's manifest in place, keeping the payload."""
-    manifest, start = C.read_manifest(path)
-    payload = path.read_bytes()[start:]
-    edit(manifest)
-    header = D.encode(manifest).encode("utf-8")
-    path.write_bytes(C.MAGIC + f"{len(header)}\n".encode("ascii") + header + payload)
-
-
 def halve_first_block_heads(manifest):
     manifest["layer_shapes"][0][0] = 2
 
@@ -261,10 +254,10 @@ def test_malformed_checkpoint_or_dataset_is_config_error(workspace, tmp_path, ca
     data.write_bytes(workspace["data"].read_bytes())
     reference = []
     if case == "manifest-not-utf8":
-        _, start = C.read_manifest(ckpt)
+        blob = ckpt.read_bytes()
+        _, start = C._split(ckpt, blob)
         header = b'{"format_version":1,"label":"\xff"}'
-        ckpt.write_bytes(C.MAGIC + f"{len(header)}\n".encode("ascii") + header
-                         + ckpt.read_bytes()[start:])
+        ckpt.write_bytes(C.MAGIC + f"{len(header)}\n".encode("ascii") + header + blob[start:])
     elif case == "dataset-top-level-list":
         data.write_text("[]")
     elif case == "reference-without-per-task":
@@ -340,12 +333,13 @@ def write_report(path, **fields):
 
 @pytest.mark.parametrize("case", ["report-not-utf8", "report-directory",
                                   "report-ratio-mixed-types", "report-strategy-null",
+                                  "report-avg-pct-str", "report-reference-int",
                                   "ckpt-directory", "advise-config-directory",
                                   "percent-in-tasks"])
 def test_unreadable_or_mistyped_input_is_config_error(workspace, tmp_path, capsys, case):
     """Each command's input files: one that cannot be opened or is not UTF-8
-    exits 2 naming its path, and so does a report whose sort key has the
-    wrong type. `%` in an INI value is literal."""
+    exits 2 naming its path, and so does a report with an optional field of
+    the wrong type. `%` in an INI value is literal."""
     bad, out = tmp_path / "bad", tmp_path / "out"
     outputs = [out, tmp_path / "out.manifest.json"]
     if case.endswith("directory"):
@@ -361,6 +355,12 @@ def test_unreadable_or_mistyped_input_is_config_error(workspace, tmp_path, capsy
         elif case == "report-strategy-null":
             write_report(bad, strategy=None)
             message = "bad: eval report 'strategy' must be of type str, got None"
+        elif case == "report-avg-pct-str":
+            write_report(bad, avg_pct="x")
+            message = "bad: eval report 'avg_pct' must be of type int or float or null, got 'x'"
+        elif case == "report-reference-int":
+            write_report(bad, reference=5)
+            message = "bad: eval report 'reference' must be of type str or null, got 5"
         argv = ["report", "--out-prefix", str(out),
                 write_report(tmp_path / "ok.json", ratio=0.1), str(bad)]
         outputs = [tmp_path / f"out.{ext}" for ext in ("csv", "json", "manifest.json")]
@@ -378,6 +378,25 @@ def test_unreadable_or_mistyped_input_is_config_error(workspace, tmp_path, capsy
     assert message in captured.err
     assert captured.out == ""
     assert not any(path.exists() for path in outputs)
+
+
+def test_minimal_report_takes_the_eval_report_defaults(tmp_path):
+    """A report holding only `per_task`, `counts` and `avg` loads with the
+    default label, ratio and strategy, and `report` writes them in its row."""
+    path = tmp_path / "min.json"
+    path.write_text('{"per_task": {"visual-count": 0.5}, "counts": {"visual-count": 4}, '
+                    '"avg": 0.5}')
+    report = E.load_report(path)
+    assert report == E.EvalReport(per_task={"visual-count": 0.5}, counts={"visual-count": 4},
+                                  avg=0.5)
+    assert (report.label, report.ratio, report.strategy) == ("model", 0.0, "none")
+    assert run(["report", "--out-prefix", str(tmp_path / "t"), str(path)]) == 0
+    with open(tmp_path / "t.csv", encoding="utf-8", newline="") as f:
+        assert f.read() == ("label,acc_visual-count,avg,avg_pct,ratio,strategy\r\n"
+                            "model,0.5,0.5,,0.0,none\r\n")
+    assert (tmp_path / "t.json").read_text(encoding="utf-8") == (
+        '{"runs":[{"acc_visual-count":0.5,"avg":0.5,"avg_pct":null,"label":"model",'
+        '"ratio":0.0,"strategy":"none"}]}\n')
 
 
 @st.composite

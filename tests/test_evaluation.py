@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -93,27 +94,24 @@ def test_empty_pool_rejected():
 
 
 def test_report_save_load_roundtrip(tmp_path):
-    rep = E.EvalReport(per_task={"x": 0.5}, counts={"x": 8}, avg=0.5,
-                       avg_pct=80.0, reference="teacher", label="student")
+    rep = E.EvalReport(per_task={"x": 0.5}, counts={"x": 8}, avg=0.5, avg_pct=80.0,
+                       reference="teacher", label="student", ratio=0.3,
+                       strategy="widthwise+ft")
     path = tmp_path / "r.json"
-    E.save_report(path, rep, extra={"ratio": 0.3, "strategy": "widthwise+ft"})
-    loaded, payload = E.load_report(path)
-    assert loaded.per_task == rep.per_task and loaded.avg_pct == 80.0
-    assert payload["ratio"] == 0.3
-    assert D.decode(path, "eval report") == {**rep.to_dict(), "ratio": 0.3,
-                                             "strategy": "widthwise+ft"}
-    assert path.read_text(encoding="utf-8") == D.encode(payload) + "\n"
+    E.save_report(path, rep)
+    assert E.load_report(path) == rep
+    assert path.read_text(encoding="utf-8") == D.encode(asdict(rep)) + "\n"
 
 
 def test_emit_report_contains_tuple_per_run(tmp_path):
-    runs = [
-        {"label": "a", "ratio": 0.15, "strategy": "width", "avg": 0.9, "avg_pct": 95.0,
-         "per_task": {"visual-lookup": 0.9}},
-        {"label": "b", "ratio": 0.30, "strategy": "width", "avg": 0.8, "avg_pct": 85.0,
-         "per_task": {"visual-lookup": 0.8}},
+    reports = [
+        E.EvalReport(label="a", ratio=0.15, strategy="width", avg=0.9, avg_pct=95.0,
+                     per_task={"visual-lookup": 0.9}, counts={}),
+        E.EvalReport(label="b", ratio=0.30, strategy="width", avg=0.8, avg_pct=85.0,
+                     per_task={"visual-lookup": 0.8}, counts={}),
     ]
     csv_path, json_path = tmp_path / "t.csv", tmp_path / "t.json"
-    rows = E.emit_report(runs, csv_path, json_path)
+    rows = E.emit_report(reports, csv_path, json_path)
     assert len(rows) == 2
     with open(csv_path) as f:
         parsed = list(csv.DictReader(f))
@@ -124,11 +122,11 @@ def test_emit_report_contains_tuple_per_run(tmp_path):
 
 
 def test_emit_report_byte_deterministic(tmp_path):
-    runs = [{"label": "a", "ratio": 0.15, "strategy": "w", "avg": 0.9, "avg_pct": 95.0,
-             "per_task": {"visual-lookup": 0.9, "visual-count": 0.95}}]
+    reports = [E.EvalReport(label="a", ratio=0.15, strategy="w", avg=0.9, avg_pct=95.0,
+                            per_task={"visual-lookup": 0.9, "visual-count": 0.95}, counts={})]
     p1c, p1j = tmp_path / "1.csv", tmp_path / "1.json"
     p2c, p2j = tmp_path / "2.csv", tmp_path / "2.json"
-    E.emit_report(runs, p1c, p1j)
-    E.emit_report(runs, p2c, p2j)
+    E.emit_report(reports, p1c, p1j)
+    E.emit_report(reports, p2c, p2j)
     assert p1c.read_bytes() == p2c.read_bytes()
     assert p1j.read_bytes() == p2j.read_bytes()

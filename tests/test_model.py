@@ -10,7 +10,7 @@ from prunekit import tensor as T
 from prunekit.model import ModelConfig, SequenceLengthError, Triplet
 from prunekit.tensor import ParameterError
 
-from conftest import count_params, param_counts
+from conftest import count_params, param_counts, param_partition
 
 
 def make_triplet(cfg, rng, n_prompt=2, n_resp=1):
@@ -220,7 +220,7 @@ def test_from_arrays_rejects_weights_that_disagree_with_the_block_widths(name, c
 
 def test_param_partition_projector_has_two_weights_two_biases():
     model = M.init(ModelConfig(), seed=0)
-    names = M.param_partition(model)["projector"]
+    names = param_partition(model)["projector"]
     assert sorted(names) == ["projector.b1", "projector.b2", "projector.w1", "projector.w2"]
     assert sum(model.get_parameter(n).data.ndim == 2 for n in names) == 2
     assert sum(model.get_parameter(n).data.ndim == 1 for n in names) == 2
@@ -228,13 +228,13 @@ def test_param_partition_projector_has_two_weights_two_biases():
 
 def test_param_partition_vision_is_frozen():
     model = M.init(ModelConfig(), seed=0)
-    for name in M.param_partition(model)["vision"]:
+    for name in param_partition(model)["vision"]:
         assert not model.get_parameter(name).requires_grad
 
 
 def test_param_partition_is_a_partition():
     model = M.init(ModelConfig(), seed=0)
-    part = M.param_partition(model)
+    part = param_partition(model)
     seen = [n for group in part.values() for n in group]
     assert len(seen) == len(set(seen))
     assert set(seen) == {n for n, _ in model.named_parameters()}

@@ -69,7 +69,7 @@ def test_layerwise_eight_equal_layers_quarter_takes_two_lowest():
     scores = [0.8, 0.3, 0.9, 0.25, 0.7, 0.6, 0.5, 0.4]
     p = P.plan("layerwise", fake_bi_report(shape, scores), 0.25)
     assert p.victims == sorted([1, 3])
-    assert p.predicted_ratio == 0.25
+    assert p.predicted_params_removed / p.decoder_params == 0.25
 
 
 def test_layerwise_never_selects_final_layer():

@@ -19,7 +19,7 @@ from prunekit.model import ForwardTrace, ModelConfig, TokenLayout, Triplet
 from prunekit.recovery import RecoveryConfig, TrainingDivergedError
 from prunekit.tensor import GraphError, ParameterError, Tensor
 
-from conftest import rel_err, sft_loss
+from conftest import param_partition, rel_err, sft_loss
 
 
 def trace_from_logits(logits, n_prompt=1, n_resp=1):
@@ -304,7 +304,7 @@ def test_projector_only_training_leaves_decoder_bit_identical():
     cfg = RecoveryConfig(alpha=1.0, scope="projector", lr=0.02, steps=20,
                          batch_size=4, seed=1)
     R.train(student, teacher, pool, cfg)
-    part = M.param_partition(student)
+    part = param_partition(student)
     proj = set(part["projector"])
     for name, p in student.named_parameters():
         if name in proj:
@@ -325,7 +325,7 @@ def test_joint_training_touches_only_projector_and_lora_targets():
                          scope="joint", lr=0.02, steps=15, batch_size=4, seed=1)
     R.train(student, teacher, pool, cfg)
     assert requires_grad_flags(student) == flags  # out-of-scope freeze undone
-    part = M.param_partition(student)
+    part = param_partition(student)
     proj = set(part["projector"])
     for name, p in student.named_parameters():
         changed = not np.array_equal(p.data, before[name])
@@ -428,7 +428,7 @@ def test_diverged_joint_run_drops_its_adapters_unmerged(rng):
     with pytest.raises(TrainingDivergedError):
         R.train(model, None, pool, cfg, eval_fn=poison)
     assert model.lora == {}
-    projector = set(M.param_partition(model)["projector"])
+    projector = set(param_partition(model)["projector"])
     for name, p in model.named_parameters():
         if name in projector:  # moved by the steps before the divergence
             p.data[...] = before[name]
@@ -546,7 +546,7 @@ def recompute_teacher_oracle(student, teacher, pool, config):
     """Projector-scope recovery, one item at a time, re-running the teacher at
     every step: the reference for the teacher-output cache."""
     data = R.subsample(pool, config.data_fraction, config.seed)
-    names = set(M.param_partition(student)["projector"])
+    names = set(param_partition(student)["projector"])
     params = [(n, p) for n, p in student.named_parameters() if n in names]
     opt = R.Sgd(params, lr=config.lr, momentum=config.momentum)
     rng = np.random.default_rng(config.seed)

@@ -9,8 +9,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # 2 config files x 5 sections, 5 training runs, 4 pruned models, the SHA-256
-# line, the scale-sensitivity line, 2 modes x 4 plans, 2 infeasible plans.
-FINGERPRINT_LINES = 2 * 5 + 5 + 4 + 1 + 1 + 2 * 4 + 2
+# line, the scale-sensitivity line, 2 modes x 4 plans, 2 infeasible plans,
+# then the CLI artifacts: the dataset, 3 checkpoints with their history or
+# surgery log, 2 inspect outputs, the teacher checkpoint and history, 4 eval
+# reports and the report CSV and JSON.
+FINGERPRINT_LINES = 2 * 5 + 5 + 4 + 1 + 1 + 2 * 4 + 2 + (1 + 3 * 2 + 2 + 2 + 4 + 2)
 
 
 def test_training_fingerprint_runs():
