@@ -31,8 +31,10 @@ dataset, a 60-step teacher, `inspect` in both modes, layerwise and
 widthwise 0.25 prunes, a 20-step joint recovery with hidden-state matching,
 eval reports with and without a reference, and the `report` CSV and JSON.
 Each line holds the file name and the SHA-256 of its bytes; the history
-and surgery logs are artifacts too. Manifests are left out: they carry a
-timestamp and paths.
+and surgery logs are artifacts too. Last comes one line per run manifest of
+that pipeline: its file name and contents, with the timestamp dropped and
+the temporary directory and the repository root written as `<tmp>` and
+`<root>`.
 Two source trees resolve configs, train, prune and write every CLI artifact
 bit-identically when their outputs are equal:
 
@@ -145,10 +147,18 @@ def print_cli_artifacts():
                 code = cli.main(argv)
             if code != cli.EXIT_OK:
                 raise SystemExit(f"prunekit {argv[0]} exited {code}")
-        for name in sorted(os.listdir(tmp)):
-            if not name.endswith(".manifest.json"):
+        names = sorted(os.listdir(tmp))
+        manifests = [name for name in names if name.endswith(".manifest.json")]
+        for name in names:
+            if name not in manifests:
                 with open(os.path.join(tmp, name), "rb") as f:
                     print(json.dumps({"artifact": name, "sha256": sha256(f.read())}))
+        for name in manifests:
+            with open(os.path.join(tmp, name), encoding="utf-8") as f:
+                manifest = json.load(f)
+            del manifest["timestamp"]
+            text = json.dumps({"manifest": name, "contents": manifest}, sort_keys=True)
+            print(text.replace(tmp, "<tmp>").replace(str(ROOT), "<root>"))
 
 
 def main():

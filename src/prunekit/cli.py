@@ -29,8 +29,8 @@ from . import model as M
 from . import pruning as P
 from . import recovery as R
 from .advisor import Scenario
-from .config import comma_list, data_settings, load_config, model_config, prune_settings, \
-    recovery_config, teacher_config
+from .config import data_settings, flag_type, load_config, model_config, prune_settings, \
+    recovery_config, set_flags, teacher_config
 from .importance import NonFiniteGradientError
 from .pruning import Floors, InfeasiblePlanError, PlanModelMismatchError
 from .recovery import TrainingDivergedError
@@ -64,19 +64,23 @@ def _ratio(value):
     return r
 
 
-def write_manifest(out_path, command, args_dict, inputs, outputs):
+# the flags naming input files, in the order a manifest lists them (then `evals`)
+INPUT_FLAGS = ("ckpt", "student", "teacher", "data", "reference")
+
+
+def write_manifest(args, outputs):
+    """`<out>.manifest.json`, <out> being --out or --out-prefix: the command,
+    its flags, input files and outputs."""
+    flags = vars(args)
     manifest = {
-        "command": command,
-        "args": {k: v for k, v in sorted(args_dict.items())
-                 if v is not None and not callable(v)},
-        "inputs": inputs,
+        "command": args.command,
+        "args": {k: v for k, v in sorted(flags.items()) if v is not None and not callable(v)},
+        "inputs": [flags[k] for k in INPUT_FLAGS if flags.get(k)] + flags.get("evals", []),
         "outputs": outputs,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
         "toolkit_version": __version__,
     }
-    path = f"{out_path}.manifest.json"
-    D.write_jsonl(path, [manifest])
-    return path
+    D.write_jsonl(f"{flags.get('out') or args.out_prefix}.manifest.json", [manifest])
 
 
 def _load_cfg(path):
@@ -84,23 +88,22 @@ def _load_cfg(path):
 
 
 # ------------------------------------------------------------------- commands
+# Each command returns the files it wrote; `main` writes their manifest.
 
 def cmd_generate_data(args):
-    cfg = _load_cfg(args.config)
-    ds = data_settings(cfg, {"n": args.n, "tasks": args.tasks})
+    ds = data_settings(_load_cfg(args.config), set_flags("data", args))
     train, evals = D.generate_dataset(task_mix=ds["tasks"], n=ds["n"],
                                       seed=args.seed, eval_fraction=ds["eval_fraction"])
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     D.save_dataset(args.out, train, evals, seed=args.seed)
-    write_manifest(args.out, "generate-data", vars(args), [], [args.out])
     print(f"wrote {args.out}: {len(train)} train / {len(evals)} eval items")
-    return EXIT_OK
+    return [args.out]
 
 
 def cmd_train_teacher(args):
     cfg = _load_cfg(args.config)
     mcfg = model_config(cfg)
-    tcfg = teacher_config(cfg, {"steps": args.steps, "seed": child_seed(args.seed, 2)})
+    tcfg = teacher_config(cfg, {**set_flags("teacher", args), "seed": child_seed(args.seed, 2)})
     train, evals = D.load_dataset(args.data)
     model = M.init(mcfg, seed=child_seed(args.seed, 0))
     eval_fn = (lambda m: E.evaluate(m, evals).avg) if args.eval_during else None
@@ -112,35 +115,28 @@ def cmd_train_teacher(args):
                                   "eval_avg": report.avg})
     history_path = f"{args.out}.history.jsonl"
     D.write_jsonl(history_path, history.steps)
-    write_manifest(args.out, "train-teacher", vars(args), [args.data],
-                   [args.out, history_path])
     accs = " ".join(f"{k}={v:.3f}" for k, v in sorted(report.per_task.items()))
     print(f"teacher trained: avg={report.avg:.3f} ({accs})")
-    return EXIT_OK
+    return [args.out, history_path]
 
 
-def _calibration(args, train, overrides=None):
-    """[prune] settings under --calib-size and `overrides`, and the seeded
-    calibration draw of that size."""
-    ps = prune_settings(_load_cfg(args.config),
-                        {"calib_size": args.calib_size, **(overrides or {})})
-    return ps, D.draw_calibration(train, n=ps["calib_size"], seed=child_seed(args.seed, 1))
-
-
-def _importance(model, layerwise, calib):
-    """Block Influence for layer removal, else Taylor-scored dependency groups."""
+def _scored(args, layerwise):
+    """The model of --ckpt, the [prune] settings, and the importance report of
+    the seeded calibration draw: Block Influence for layer removal, else
+    Taylor-scored dependency groups."""
+    model, _ = C.load(args.ckpt)
+    train, _ = D.load_dataset(args.data)
+    ps = prune_settings(_load_cfg(args.config), set_flags("prune", args))
+    calib = D.draw_calibration(train, n=ps["calib_size"], seed=child_seed(args.seed, 1))
     if layerwise:
-        return I.block_influence(model, calib)
+        return model, ps, I.block_influence(model, calib)
     groups = I.build_dependency_groups(model)
     I.taylor_group_importance(model, groups, calib)
-    return I.group_report(model, groups)
+    return model, ps, I.group_report(model, groups)
 
 
 def cmd_inspect(args):
-    model, _ = C.load(args.ckpt)
-    train, _ = D.load_dataset(args.data)
-    _, calib = _calibration(args, train)
-    report = _importance(model, args.mode == "bi", calib)
+    _, _, report = _scored(args, args.mode == "bi")
     records = report.to_records()
     if args.mode == "bi":
         extra = {"ranking": report.ranking, "tokens_used": report.tokens_used,
@@ -149,17 +145,12 @@ def cmd_inspect(args):
         extra = {"n_groups": len(report.groups)}
     payload = {"mode": args.mode, "records": records, **extra}
     D.write_jsonl(args.out, [payload])
-    write_manifest(args.out, "inspect", vars(args), [args.ckpt, args.data], [args.out])
     print(f"wrote {args.out}: {len(records)} records ({args.mode})")
-    return EXIT_OK
+    return [args.out]
 
 
 def cmd_prune(args):
-    model, meta = C.load(args.ckpt)
-    train, _ = D.load_dataset(args.data)
-    ps, calib = _calibration(args, train, {"min_heads": args.min_heads,
-                                           "min_channels": args.min_channels})
-    report = _importance(model, args.mode == "layerwise", calib)
+    model, ps, report = _scored(args, args.mode == "layerwise")
     floors = Floors(min_heads=ps["min_heads"], min_channels=ps["min_channels"])
     plan = P.plan(args.mode, report, args.ratio, floors)
     result = P.execute(model, plan)
@@ -171,24 +162,17 @@ def cmd_prune(args):
                                   "seed": args.seed})
     log_path = f"{args.out}.surgery.jsonl"
     D.write_jsonl(log_path, result.surgery_log)
-    write_manifest(args.out, "prune", vars(args), [args.ckpt, args.data],
-                   [args.out, log_path])
     print(f"pruned {args.mode} target={args.ratio:.2f} "
           f"achieved={result.achieved_ratio:.4f} victims={len(plan.victims)}")
-    return EXIT_OK
+    return [args.out, log_path]
 
 
 def cmd_recover(args):
     student, smeta = C.load(args.student)
     teacher, _ = C.load(args.teacher)
     train, evals = D.load_dataset(args.data)
-    overrides = {
-        "alpha": args.alpha, "beta": args.beta, "gamma": args.gamma,
-        "kd_direction": args.kd, "scope": args.scope,
-        "data_fraction": args.fraction, "lr": args.lr, "steps": args.steps,
-        "batch_size": args.batch_size, "seed": child_seed(args.seed, 2),
-    }
-    rcfg = recovery_config(_load_cfg(args.config), overrides)
+    rcfg = recovery_config(_load_cfg(args.config),
+                           {**set_flags("recovery", args), "seed": child_seed(args.seed, 2)})
     history = R.train(student, teacher, train, rcfg,
                       eval_fn=lambda m: E.evaluate(m, evals).avg)
     strategy = smeta["meta"].get("strategy", "pruned")
@@ -202,12 +186,9 @@ def cmd_recover(args):
     })
     history_path = f"{args.out}.history.jsonl"
     D.write_jsonl(history_path, history.steps)
-    write_manifest(args.out, "recover", vars(args),
-                   [args.student, args.teacher, args.data],
-                   [args.out, history_path])
     print(f"recovered with {recovery_tag}: final total loss "
           f"{history.steps[-1]['total']:.4f} over {rcfg.steps} steps")
-    return EXIT_OK
+    return [args.out, history_path]
 
 
 def _recovery_tag(rcfg):
@@ -223,21 +204,19 @@ def _recovery_tag(rcfg):
 
 def cmd_evaluate(args):
     model, meta = C.load(args.ckpt)
+    described = {k: v for k, v in meta["meta"].items() if k in ("ratio", "strategy")}
+    E.check_field_types(args.ckpt, "checkpoint meta", described)
     _, evals = D.load_dataset(args.data)
     reference = None
     if args.reference:
         reference = E.load_report(args.reference)
     label = args.label or os.path.basename(args.ckpt)
-    report = E.evaluate(model, evals, reference_report=reference, label=label)
-    report = dataclasses.replace(report, **{k: v for k, v in meta["meta"].items()
-                                            if k in ("ratio", "strategy")})
+    report = dataclasses.replace(E.evaluate(model, evals, reference_report=reference,
+                                            label=label), **described)
     E.save_report(args.out, report)
-    write_manifest(args.out, "evaluate", vars(args),
-                   [args.ckpt, args.data] + ([args.reference] if args.reference else []),
-                   [args.out])
     pct = "" if report.avg_pct is None else f" avg_pct={report.avg_pct:.2f}"
     print(f"eval {label}: avg={report.avg:.4f}{pct}")
-    return EXIT_OK
+    return [args.out]
 
 
 def cmd_advise(args):
@@ -252,106 +231,76 @@ def cmd_advise(args):
         print(f"recommendation {rec.rule}:")
         for line in rec.lines():
             print("  " + line)
-    return EXIT_OK
+    return []
 
 
 def cmd_report(args):
     csv_path = f"{args.out_prefix}.csv"
     json_path = f"{args.out_prefix}.json"
     rows = E.emit_report([E.load_report(p) for p in args.evals], csv_path, json_path)
-    write_manifest(args.out_prefix, "report", vars(args), list(args.evals),
-                   [csv_path, json_path])
     print(f"wrote {csv_path} and {json_path}: {len(rows)} runs")
-    return EXIT_OK
+    return [csv_path, json_path]
 
 
 # --------------------------------------------------------------------- parser
+
+# Flags that several commands take, each declared once.
+COMMON_FLAGS = {"ckpt": {"required": True}, "data": {"required": True},
+                "out": {"required": True}, "config": {}, "seed": {"type": int, "default": 0}}
+
+# name: (function, help, common flags, the INI section and keys it takes as flags)
+COMMANDS = {
+    "generate-data": (cmd_generate_data, "generate the synthetic dataset",
+                      ("config", "out", "seed"), "data", ("n", "tasks")),
+    "train-teacher": (cmd_train_teacher, "train the uncompressed teacher",
+                      ("config", "data", "out", "seed"), "teacher", ("steps",)),
+    "inspect": (cmd_inspect, "export importance scores",
+                ("ckpt", "data", "out", "config", "seed"), "prune", ("calib_size",)),
+    "prune": (cmd_prune, "plan and execute structural pruning",
+              ("ckpt", "data", "out", "config", "seed"), "prune",
+              ("calib_size", "min_heads", "min_channels")),
+    "recover": (cmd_recover, "recovery-train a pruned student",
+                ("data", "out", "config", "seed"), "recovery",
+                ("alpha", "beta", "gamma", "kd_direction", "scope", "data_fraction", "lr",
+                 "steps", "batch_size")),
+    "evaluate": (cmd_evaluate, "evaluate a checkpoint on the synthetic suite",
+                 ("ckpt", "data", "out"), None, ()),
+    "advise": (cmd_advise, "recommend a compression strategy", ("config",), None, ()),
+    "report": (cmd_report, "aggregate eval reports into table/plot data", (), None, ()),
+}
+
 
 def build_parser():
     parser = _Parser(prog="prunekit",
                      description="structural compression toolkit for toy multimodal decoder LMs")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    p = {}
+    for name, (fn, help_text, common, section, keys) in COMMANDS.items():
+        p[name] = sub.add_parser(name, help=help_text)
+        p[name].set_defaults(fn=fn)
+        for flag in common:
+            p[name].add_argument(f"--{flag}", **COMMON_FLAGS[flag])
+        for key in keys:
+            p[name].add_argument("--" + key.replace("_", "-"), type=flag_type(section, key))
 
-    def add(name, fn, **kw):
-        p = sub.add_parser(name, **kw)
-        p.set_defaults(fn=fn)
-        return p
-
-    p = add("generate-data", cmd_generate_data, help="generate the synthetic dataset")
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--tasks", type=comma_list, default=None)
-
-    p = add("train-teacher", cmd_train_teacher, help="train the uncompressed teacher")
-    p.add_argument("--config", default=None)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--eval-during", action="store_true")
-
-    p = add("inspect", cmd_inspect, help="export importance scores")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--mode", choices=("bi", "taylor"), required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--config", default=None)
-    p.add_argument("--calib-size", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = add("prune", cmd_prune, help="plan and execute structural pruning")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--mode", choices=("layerwise", "widthwise"), required=True)
-    p.add_argument("--ratio", type=_ratio, required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--config", default=None)
-    p.add_argument("--calib-size", type=int, default=None)
-    p.add_argument("--min-heads", type=int, default=None)
-    p.add_argument("--min-channels", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = add("recover", cmd_recover, help="recovery-train a pruned student")
-    p.add_argument("--student", required=True)
-    p.add_argument("--teacher", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--config", default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--kd", choices=("kl", "rkl", "none"), default=None)
-    p.add_argument("--scope", choices=("projector", "joint"), default=None)
-    p.add_argument("--fraction", type=float, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = add("evaluate", cmd_evaluate, help="evaluate a checkpoint on the synthetic suite")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--reference", default=None)
-    p.add_argument("--label", default=None)
-    p.add_argument("--out", required=True)
-
-    p = add("advise", cmd_advise, help="recommend a compression strategy")
-    p.add_argument("--ratio", type=_ratio, required=True)
-    recover_group = p.add_mutually_exclusive_group()
+    p["train-teacher"].add_argument("--eval-during", action="store_true")
+    p["inspect"].add_argument("--mode", choices=("bi", "taylor"), required=True)
+    p["prune"].add_argument("--mode", choices=("layerwise", "widthwise"), required=True)
+    p["prune"].add_argument("--ratio", type=_ratio, required=True)
+    p["recover"].add_argument("--student", required=True)
+    p["recover"].add_argument("--teacher", required=True)
+    p["evaluate"].add_argument("--reference")
+    p["evaluate"].add_argument("--label")
+    p["advise"].add_argument("--ratio", type=_ratio, required=True)
+    recover_group = p["advise"].add_mutually_exclusive_group()
     recover_group.add_argument("--recover", dest="recover", action="store_true")
     recover_group.add_argument("--no-recover", dest="recover", action="store_false")
-    p.set_defaults(recover=False)
-    p.add_argument("--data-budget", type=float, default=1.0)
-    p.add_argument("--config", default=None)
-    p.add_argument("--json", action="store_true")
-
-    p = add("report", cmd_report, help="aggregate eval reports into table/plot data")
-    p.add_argument("--out-prefix", required=True)
-    p.add_argument("evals", nargs="+")
-
+    p["advise"].set_defaults(recover=False)
+    p["advise"].add_argument("--data-budget", type=float, default=1.0)
+    p["advise"].add_argument("--json", action="store_true")
+    p["report"].add_argument("--out-prefix", required=True)
+    p["report"].add_argument("evals", nargs="+")
     return parser
 
 
@@ -359,7 +308,10 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        outputs = args.fn(args)
+        if outputs:
+            write_manifest(args, outputs)
+        return EXIT_OK
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -4,14 +4,16 @@ Sections: [model] ModelConfig, [data] DataSettings, [teacher] TeacherConfig,
 [recovery] RecoveryConfig, [prune] PruneSettings. Each field is one key, of
 the type of its default; a tuple field is a comma list. A `seed` field is
 not a key: the CLI derives every seed from its --seed. Every key is
-optional; CLI flags override file values. Unknown sections (`[DEFAULT]`
-too) and keys fail loudly. A `%` in a value is literal.
+optional; CLI flags override file values. A setting flag is its key with
+dashes and parses its value as the file does (`flag_type`). Unknown
+sections (`[DEFAULT]` too) and keys fail loudly. A `%` in a value is literal.
 """
 
 from __future__ import annotations
 
 import configparser
 import dataclasses
+import functools
 
 from . import data as D
 from .model import ModelConfig
@@ -56,6 +58,20 @@ def _parse(default, raw):
     if isinstance(default, tuple):
         return comma_list(raw, type(default[0]))
     return (int if default is None else type(default))(raw.strip())
+
+
+def flag_type(section, key):
+    """The argparse `type` of the flag of [section] `key`: `_parse` with the
+    key's default, named for the key in argparse's error message."""
+    parse = functools.partial(_parse, _keys(_SECTIONS[section])[key])
+    parse.__name__ = f"[{section}] {key}"
+    return parse
+
+
+def set_flags(section, args):
+    """{key: value} of each [section] key that the parsed flags `args` set."""
+    return {key: getattr(args, key) for key in _keys(_SECTIONS[section])
+            if getattr(args, key, None) is not None}
 
 
 def load_config(path):

@@ -87,6 +87,16 @@ _FIELD_TYPES = {"avg_pct": (int, float, type(None)), "reference": (str, type(Non
                 "label": (str,), "ratio": (int, float), "strategy": (str,)}
 
 
+def check_field_types(path, what, payload):
+    """Raise ParameterError naming `path` and the first optional EvalReport
+    field of the dict `payload` (a `what`) whose value has the wrong type."""
+    for key, types in _FIELD_TYPES.items():
+        if key in payload and type(payload[key]) not in types:
+            names = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+            raise ParameterError(f"{path}: {what} {key!r} must be of type {names}, "
+                                 f"got {payload[key]!r}")
+
+
 def load_report(path):
     """The EvalReport of an eval-report file; unknown keys are ignored."""
     payload = decode(path, "eval report")
@@ -96,11 +106,7 @@ def load_report(path):
                                                       *payload["per_task"].values()))):
         raise ParameterError(f"{path}: not an eval report (needs an object 'per_task' "
                              f"of numbers, an object 'counts' and a number 'avg')")
-    for key, types in _FIELD_TYPES.items():
-        if key in payload and type(payload[key]) not in types:
-            names = " or ".join("null" if t is type(None) else t.__name__ for t in types)
-            raise ParameterError(f"{path}: eval report {key!r} must be of type {names}, "
-                                 f"got {payload[key]!r}")
+    check_field_types(path, "eval report", payload)
     return EvalReport(**{f.name: payload[f.name] for f in fields(EvalReport)
                          if f.name in payload})
 

@@ -31,7 +31,8 @@ from .tensor import GraphError, ParameterError, Tensor
 
 
 class TrainingDivergedError(RuntimeError):
-    """A training step produced a non-finite loss."""
+    """A training step produced a non-finite loss; the message names the step,
+    its loss terms and the first non-finite parameter, if any."""
 
 
 @dataclass(frozen=True)
@@ -266,9 +267,12 @@ def _backward_step(student, params, batch, targets, config, step, grads):
             total = term if total is None else T.add(total, term)
     total_val = total.item()
     if not math.isfinite(total_val):
+        bad = next((n for n, p in student.named_parameters() + params
+                    if not np.isfinite(p.data).all()), None)
         raise TrainingDivergedError(
             f"non-finite loss at step {step}: "
-            f"sft={values[0]} logits={values[1]} match={values[2]}")
+            f"sft={values[0]} logits={values[1]} match={values[2]}; "
+            + (f"first non-finite parameter {bad}" if bad else "all parameters are finite"))
     # Last step's gradients go only now: alive through the forward, they keep
     # the freed tape's memory from being trimmed and faulted back in each step.
     grads.clear()

@@ -1,7 +1,9 @@
 """CLI contracts: exit codes, composability, reproducibility of artifacts."""
 
+import configparser
 import json
 import os
+import pathlib
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +11,12 @@ from hypothesis import strategies as st
 
 from prunekit import checkpoint as C
 from prunekit import cli
+from prunekit import config as CFG
 from prunekit import evaluation as E
 
 from conftest import edit_manifest
+
+EVERY_KEY_INI = pathlib.Path(__file__).with_name("every_key.ini")
 
 
 def run(argv):
@@ -89,7 +94,7 @@ def test_lora_key_in_config_exits_2_before_training(workspace, tmp_path, monkeyp
                                   "recover-batch-0", "teacher-batch-0", "recover-match-9",
                                   "recover-match-past-pruned-student", "teacher-clip-negative",
                                   "teacher-peak-lr-negative", "recover-lr-negative",
-                                  "recover-momentum-1.5"])
+                                  "recover-momentum-1.5", "recover-scope-bogus"])
 def test_bad_run_settings_are_config_errors(workspace, tmp_path, capsys, case):
     ws = {k: str(v) for k, v in workspace.items()}
     out = tmp_path / "out"
@@ -103,6 +108,8 @@ def test_bad_run_settings_are_config_errors(workspace, tmp_path, capsys, case):
                             ws["teacher"], "--config", ws["cfg"], "--steps", "0"],
         "recover-batch-0": ["recover", "--student", ws["teacher"], "--teacher",
                             ws["teacher"], "--config", ws["cfg"], "--batch-size", "0"],
+        "recover-scope-bogus": ["recover", "--student", ws["teacher"], "--teacher",
+                                ws["teacher"], "--config", ws["cfg"], "--scope", "bogus"],
     }
     if case.startswith("teacher"):
         cfg = tmp_path / "teacher.ini"
@@ -132,12 +139,63 @@ def test_bad_run_settings_are_config_errors(workspace, tmp_path, capsys, case):
                       "--config", str(cfg)]
     assert run(argv[case] + common) == cli.EXIT_CONFIG
     assert not out.exists()
-    # the four settings that would make SGD climb are named in the error
+    # the four settings that would make SGD climb, and a flag out of its
+    # range, are named in the error
     assert {"teacher-clip-negative": "clip must be > 0, got -1.0",
             "teacher-peak-lr-negative": "peak_lr must be > 0, got -0.15",
             "recover-lr-negative": "lr must be > 0, got -0.05",
-            "recover-momentum-1.5": "momentum must be in [0, 1)"}.get(case, "") \
+            "recover-momentum-1.5": "momentum must be in [0, 1)",
+            "recover-scope-bogus": "scope must be projector or joint, got 'bogus'"}.get(case, "") \
         in capsys.readouterr().err
+
+
+# every (command, [section] key) pair a setting flag exposes
+SETTING_FLAGS = [("generate-data", "data", key) for key in ("n", "tasks")] + [
+    ("train-teacher", "teacher", "steps"), ("inspect", "prune", "calib_size")] + [
+    ("prune", "prune", key) for key in ("calib_size", "min_heads", "min_channels")] + [
+    ("recover", "recovery", key) for key in ("alpha", "beta", "gamma", "kd_direction", "scope",
+                                             "data_fraction", "lr", "steps", "batch_size")]
+REQUIRED_FLAGS = {"generate-data": [], "train-teacher": ["--data", "d"],
+                  "inspect": ["--ckpt", "c", "--data", "d", "--mode", "bi"],
+                  "prune": ["--ckpt", "c", "--data", "d", "--mode", "layerwise",
+                            "--ratio", "0.3"],
+                  "recover": ["--student", "s", "--teacher", "t", "--data", "d"]}
+
+
+@pytest.mark.parametrize("command, section, key", SETTING_FLAGS,
+                         ids=[f"{c}-{k}" for c, _, k in SETTING_FLAGS])
+def test_setting_flag_reads_like_its_ini_key(command, section, key):
+    """The flag `--<key with dashes>` given the raw value of `key` in
+    every_key.ini resolves to the value and type load_config gives it."""
+    ini = configparser.ConfigParser(interpolation=None)
+    ini.read(EVERY_KEY_INI)
+    flag = "--" + key.replace("_", "-")
+    args = cli.build_parser().parse_args([command, *REQUIRED_FLAGS[command], "--out", "o",
+                                          f"{flag}={ini[section][key]}"])
+    expected = CFG.load_config(str(EVERY_KEY_INI))[section][key]
+    resolved = CFG.set_flags(section, args)
+    assert resolved == {key: expected}
+    assert type(resolved[key]) is type(expected)
+
+
+def test_kd_flag_prefix_still_sets_kd_direction():
+    args = cli.build_parser().parse_args(["recover", *REQUIRED_FLAGS["recover"], "--out", "o",
+                                          "--kd", "rkl"])
+    assert CFG.set_flags("recovery", args) == {"kd_direction": "rkl"}
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--steps", "x"], "argument --steps: invalid [recovery] steps value: 'x'"),
+    (["--fraction", "0.05"], "unrecognized arguments: --fraction 0.05"),
+], ids=["steps-x", "fraction"])
+def test_bad_setting_flag_is_usage_error(workspace, tmp_path, capsys, flags, message):
+    out = tmp_path / "r.ckpt"
+    code = run(["recover", "--student", str(workspace["teacher"]), "--teacher",
+                str(workspace["teacher"]), "--data", str(workspace["data"]),
+                "--out", str(out), *flags])
+    assert code == cli.EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_recovery_seed_in_a_config_file_is_config_error(workspace, tmp_path, capsys):
@@ -334,12 +392,13 @@ def write_report(path, **fields):
 @pytest.mark.parametrize("case", ["report-not-utf8", "report-directory",
                                   "report-ratio-mixed-types", "report-strategy-null",
                                   "report-avg-pct-str", "report-reference-int",
-                                  "ckpt-directory", "advise-config-directory",
-                                  "percent-in-tasks"])
+                                  "ckpt-directory", "ckpt-meta-ratio-str",
+                                  "advise-config-directory", "percent-in-tasks"])
 def test_unreadable_or_mistyped_input_is_config_error(workspace, tmp_path, capsys, case):
     """Each command's input files: one that cannot be opened or is not UTF-8
-    exits 2 naming its path, and so does a report with an optional field of
-    the wrong type. `%` in an INI value is literal."""
+    exits 2 naming its path, and so does a report, or the checkpoint meta an
+    eval report copies, with an optional field of the wrong type. `%` in an
+    INI value is literal."""
     bad, out = tmp_path / "bad", tmp_path / "out"
     outputs = [out, tmp_path / "out.manifest.json"]
     if case.endswith("directory"):
@@ -364,7 +423,11 @@ def test_unreadable_or_mistyped_input_is_config_error(workspace, tmp_path, capsy
         argv = ["report", "--out-prefix", str(out),
                 write_report(tmp_path / "ok.json", ratio=0.1), str(bad)]
         outputs = [tmp_path / f"out.{ext}" for ext in ("csv", "json", "manifest.json")]
-    elif case == "ckpt-directory":
+    elif case.startswith("ckpt"):
+        if case == "ckpt-meta-ratio-str":
+            bad.write_bytes(workspace["teacher"].read_bytes())
+            edit_manifest(bad, lambda manifest: manifest["meta"].update(ratio="x"))
+            message = f"{bad}: checkpoint meta 'ratio' must be of type int or float, got 'x'"
         argv = ["evaluate", "--ckpt", str(bad), "--data", str(workspace["data"]),
                 "--out", str(out)]
     elif case == "advise-config-directory":
@@ -523,11 +586,20 @@ def test_pipeline_composability_and_manifests(workspace, capsys):
     assert (root / "summary.csv").exists() and (root / "summary.json").exists()
     with open(root / "summary.json") as f:
         assert len(json.load(f)["runs"]) == 2
-    for artifact in (pruned, recovered, ev_t, ev_r):
-        with open(str(artifact) + ".manifest.json") as f:
+    teacher, data = str(workspace["teacher"]), str(workspace["data"])
+    for out, inputs, outputs in (
+            (pruned, [teacher, data], [pruned, f"{pruned}.surgery.jsonl"]),
+            (recovered, [str(pruned), teacher, data], [recovered, f"{recovered}.history.jsonl"]),
+            (ev_t, [teacher, data], [ev_t]),
+            (ev_r, [str(recovered), data, str(ev_t)], [ev_r]),
+            (root / "summary", [str(ev_t), str(ev_r)],
+             [root / "summary.csv", root / "summary.json"])):
+        with open(str(out) + ".manifest.json") as f:
             manifest = json.load(f)
-        assert manifest["command"] in ("prune", "recover", "evaluate")
+        assert manifest["command"] in ("prune", "recover", "evaluate", "report")
         assert "timestamp" in manifest
+        assert manifest["inputs"] == inputs
+        assert manifest["outputs"] == [str(path) for path in outputs]
     assert (pruned.parent / (pruned.name + ".surgery.jsonl")).exists()
     with open(ev_r) as f:
         payload = json.load(f)

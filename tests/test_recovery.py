@@ -409,7 +409,20 @@ def test_train_divergence_aborts_with_step_index(entry):
         run_entry(entry, student, pool, steps=50)
     assert "step 0" in str(exc.value)
     assert "sft=nan logits=0.0 match=0.0" in str(exc.value)
+    assert "first non-finite parameter projector.w1" in str(exc.value)
     assert requires_grad_flags(student) == flags
+
+
+def test_divergence_with_finite_parameters_says_so():
+    """Finite head weights large enough to overflow the logits diverge; the
+    error says that no parameter is non-finite."""
+    student = M.init(ModelConfig(), seed=5)
+    pool, _ = D.generate_dataset(n=30, seed=4)
+    student.head_w.data[...] = 3e38
+    with pytest.raises(TrainingDivergedError) as exc, np.errstate(over="ignore",
+                                                                  invalid="ignore"):
+        run_entry("train", student, pool, steps=5)
+    assert "step 0" in str(exc.value) and "all parameters are finite" in str(exc.value)
 
 
 def test_diverged_joint_run_drops_its_adapters_unmerged(rng):

@@ -12,8 +12,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # line, the scale-sensitivity line, 2 modes x 4 plans, 2 infeasible plans,
 # then the CLI artifacts: the dataset, 3 checkpoints with their history or
 # surgery log, 2 inspect outputs, the teacher checkpoint and history, 4 eval
-# reports and the report CSV and JSON.
-FINGERPRINT_LINES = 2 * 5 + 5 + 4 + 1 + 1 + 2 * 4 + 2 + (1 + 3 * 2 + 2 + 2 + 4 + 2)
+# reports and the report CSV and JSON, then the manifests of the 12 commands.
+FINGERPRINT_LINES = 2 * 5 + 5 + 4 + 1 + 1 + 2 * 4 + 2 + (1 + 3 * 2 + 2 + 2 + 4 + 2) + 12
 
 
 def test_training_fingerprint_runs():
