@@ -65,7 +65,7 @@ def _ratio(value):
 
 
 # the flags naming input files, in the order a manifest lists them (then `evals`)
-INPUT_FLAGS = ("ckpt", "student", "teacher", "data", "reference")
+INPUT_FLAGS = ("config", "ckpt", "student", "teacher", "data", "reference")
 
 
 def write_manifest(args, outputs):
@@ -154,11 +154,8 @@ def cmd_prune(args):
     floors = Floors(min_heads=ps["min_heads"], min_channels=ps["min_channels"])
     plan = P.plan(args.mode, report, args.ratio, floors)
     result = P.execute(model, plan)
-    C.save(model, args.out, meta={"stage": "pruned", "mode": args.mode,
-                                  "target_ratio": args.ratio,
-                                  "achieved_ratio": result.achieved_ratio,
-                                  "ratio": result.achieved_ratio,
-                                  "strategy": f"{args.mode}",
+    C.save(model, args.out, meta={"stage": "pruned", "target_ratio": args.ratio,
+                                  "ratio": result.achieved_ratio, "strategy": args.mode,
                                   "seed": args.seed})
     log_path = f"{args.out}.surgery.jsonl"
     D.write_jsonl(log_path, result.surgery_log)

@@ -13,9 +13,10 @@ Three single-answer tasks share one vocabulary:
   payload. Echo descriptors carry a random marker pattern with the same
   statistics as visual-count, so the visual stream is active but irrelevant.
 
-Dataset files store the semantic fields only (slot/markers/payload + token
-ids); descriptors are rebuilt deterministically at load time, which keeps the
-files small, human-readable and byte-stable.
+An item is implied by its task and meta (slot/markers/payload): `make_item`
+builds its descriptor, prompt and answer from them. Dataset files store
+only those two fields per record, which keeps them small, human-readable and
+byte-stable; a loaded item is rebuilt the same way as a sampled one.
 """
 
 from __future__ import annotations
@@ -83,23 +84,30 @@ def _sample_markers(rng):
     return sorted(int(m) for m in rng.choice(N_MARKERS, size=count, replace=False))
 
 
-def _sample_item(task, rng):
+def make_item(task, meta):
+    """The Triplet that `task` and `meta` imply: descriptor, prompt and answer."""
     if task == "visual-lookup":
-        slot = int(rng.integers(0, N_ANSWERS))
-        meta = {"slot": slot}
         prompt = (LOOKUP_MARKER,)
     elif task == "visual-count":
-        meta = {"markers": _sample_markers(rng)}
         prompt = (COUNT_MARKER,)
     elif task == "prompt-echo":
-        payload = int(rng.integers(0, N_ANSWERS))
-        meta = {"payload": payload, "markers": _sample_markers(rng)}
-        prompt = (ECHO_MARKER, payload)
+        prompt = (ECHO_MARKER, int(meta["payload"]))
     else:
         raise ParameterError(f"unknown task {task!r}")
-    answer = expected_answer(task, meta)
-    return Triplet(x_v=encode_descriptor(task, meta), x_p=prompt, x_r=(answer,),
-                   task=task, meta=meta)
+    return Triplet(x_v=encode_descriptor(task, meta), x_p=prompt,
+                   x_r=(expected_answer(task, meta),), task=task, meta=meta)
+
+
+def _sample_item(task, rng):
+    if task == "visual-lookup":
+        meta = {"slot": int(rng.integers(0, N_ANSWERS))}
+    elif task == "visual-count":
+        meta = {"markers": _sample_markers(rng)}
+    elif task == "prompt-echo":
+        meta = {"payload": int(rng.integers(0, N_ANSWERS)), "markers": _sample_markers(rng)}
+    else:
+        raise ParameterError(f"unknown task {task!r}")
+    return make_item(task, meta)
 
 
 def generate_dataset(task_mix=TASKS, n=1920, seed=0, eval_fraction=0.2):
@@ -129,50 +137,34 @@ def generate_dataset(task_mix=TASKS, n=1920, seed=0, eval_fraction=0.2):
     return train, evals
 
 
-def _item_to_record(item):
-    return {
-        "task": item.task,
-        "meta": item.meta,
-        "prompt": list(item.x_p),
-        "response": list(item.x_r),
-    }
-
-
-def _ids(value, n=float("inf")):
-    """True for a list of ints in [0, n)."""
-    return isinstance(value, list) and all(type(v) is int and 0 <= v < n for v in value)
-
-
 # per task, the meta fields its descriptor and answer are rebuilt from, with their id range
 _META_FIELDS = {"visual-lookup": {"slot": N_ANSWERS}, "visual-count": {"markers": N_MARKERS},
                 "prompt-echo": {"payload": N_ANSWERS, "markers": N_MARKERS}}
 
 
 def _record_to_item(rec, where):
-    """The Triplet of one dataset record; ParameterError names `where` and its
-    first bad field."""
+    """The Triplet of one dataset record, built from its task and meta alone
+    (any other key is ignored); ParameterError names `where` and its first
+    bad field."""
     task = rec.get("task") if isinstance(rec, dict) else None
     if task not in TASKS:
         raise ParameterError(f"{where}: unknown task {task!r}")
     meta = rec["meta"] if isinstance(rec.get("meta"), dict) else {}
     for key, n in _META_FIELDS[task].items():
         ids = meta.get(key) if key == "markers" else [meta.get(key)]  # markers: distinct ids
-        if not _ids(ids, n) or len(set(ids)) < len(ids):
+        if not (isinstance(ids, list) and all(type(v) is int and 0 <= v < n for v in ids)
+                and len(set(ids)) == len(ids)):
             raise ParameterError(f"{where}: meta field {key!r} is missing or invalid")
-    for key in ("prompt", "response"):
-        if not _ids(rec.get(key)) or not rec[key]:
-            raise ParameterError(f"{where}: {key!r} must be a nonempty list of token ids")
-    return Triplet(x_v=encode_descriptor(task, meta), x_p=tuple(rec["prompt"]),
-                   x_r=tuple(rec["response"]), task=task, meta=meta)
+    return make_item(task, meta)
 
 
 def save_dataset(path, train, evals, seed=None):
     payload = {
-        "version": 1,
+        "version": 2,
         "seed": seed,
         "descriptor_dim": DESCRIPTOR_DIM,
-        "train": [_item_to_record(it) for it in train],
-        "eval": [_item_to_record(it) for it in evals],
+        "train": [{"task": it.task, "meta": it.meta} for it in train],
+        "eval": [{"task": it.task, "meta": it.meta} for it in evals],
     }
     write_jsonl(path, [payload])
 

@@ -222,9 +222,10 @@ def from_arrays(config, arrays):
 
     The block count is read off the "layers.<i>." names, and each block's
     widths off its arrays: wq rows // head_dim heads and up rows channels.
-    Each array becomes a fresh leaf tensor that owns it; every parameter but
-    the vision stub is trainable. Raises ParameterError naming a missing,
-    extra or misshapen tensor, or a block with no head or no channel.
+    Each array becomes a fresh leaf tensor that owns it and keeps its float
+    dtype; every parameter but the vision stub is trainable. Raises
+    ParameterError naming a missing, extra or misshapen tensor, or a block
+    with no head or no channel.
     """
     n_layers = len({name.split(".")[1] for name in arrays if name.startswith("layers.")})
     widths = [(_rows(arrays, f"layers.{i}.attn.wq") // config.head_dim,
@@ -253,7 +254,8 @@ def init(config, seed):
 
     The output head starts at zero (logits exactly uniform until the first
     update) and the frozen vision stub at scale 0.5 so unit-norm descriptors
-    produce O(1) features. Weights are drawn in named_parameters order.
+    produce O(1) features. Weights are drawn in named_parameters order and
+    stored as float32.
     """
     rng = np.random.default_rng(seed)
     arrays = {}
@@ -264,7 +266,7 @@ def init(config, seed):
             arrays[name] = np.zeros(shape)
         else:
             arrays[name] = rng.standard_normal(shape) * (0.5 if name == "vision.w" else 0.02)
-    return from_arrays(config, arrays)
+    return from_arrays(config, {name: a.astype(np.float32) for name, a in arrays.items()})
 
 
 # The one LoRA recipe of joint recovery: the projections `_block_forward`
@@ -321,7 +323,8 @@ def forward(model, items, capture="all"):
     if capture not in ("all", None):
         raise ParameterError(f"forward: capture must be 'all' or None, got {capture!r}")
 
-    descriptors = [np.asarray(it.x_v, dtype=T.default_dtype()).reshape(-1) for it in items]
+    descriptors = [np.asarray(it.x_v, dtype=model.vision_w.data.dtype).reshape(-1)
+                   for it in items]
     for x in descriptors:
         if x.size != cfg.d_descriptor:
             raise ParameterError(

@@ -168,16 +168,17 @@ def _teacher_targets(teacher, items, layers):
 # ----------------------------------------------------------------------- LoRA
 
 def attach_lora(model, seed=0):
-    """Attach zero-delta adapters of rank M.LORA_RANK to every block's
-    M.LORA_TARGETS projections."""
+    """Attach float32 zero-delta adapters of rank M.LORA_RANK to every
+    block's M.LORA_TARGETS projections."""
     if model.lora:
         raise ParameterError("model already has adapters attached")
     rng = np.random.default_rng(seed)
     for i, layer in enumerate(model.layers):
         for tgt in M.LORA_TARGETS:
             d_out, d_in = getattr(layer, tgt).data.shape
-            a = Tensor(rng.standard_normal((M.LORA_RANK, d_in)) * 0.02, requires_grad=True)
-            b = Tensor(np.zeros((d_out, M.LORA_RANK)), requires_grad=True)
+            a = Tensor((rng.standard_normal((M.LORA_RANK, d_in)) * 0.02).astype(np.float32),
+                       requires_grad=True)
+            b = Tensor(np.zeros((d_out, M.LORA_RANK), dtype=np.float32), requires_grad=True)
             model.lora[f"layers.{i}.attn.{tgt}"] = LoraAdapter(a=a, b=b)
 
 

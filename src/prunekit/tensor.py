@@ -5,13 +5,15 @@ records a backward closure, and `backward()` walks the tape in descending
 node-id order. Node ids increase at creation time, so that order is a valid
 topological order and gradient accumulation is deterministic.
 
-Element type is float32 by default; `precision("float64")` switches the
-whole engine into a 64-bit verification mode (used by the gradient-check
-suites, never by training).
+The element type lives on the arrays: a leaf keeps a float array's dtype
+(float32 in training, float64 in the gradient checks) and an op's output
+takes its operands'. Grad mode is per context (so per thread): `no_grad`
+turns tape construction off for the calling thread alone.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import heapq
 import itertools
@@ -25,8 +27,6 @@ __all__ = [
     "DimensionError",
     "ParameterError",
     "GraphError",
-    "precision",
-    "default_dtype",
     "no_grad",
     "add",
     "sub",
@@ -62,39 +62,19 @@ class GraphError(RuntimeError):
     """The autodiff graph contract was violated (e.g. non-scalar root)."""
 
 
-_DTYPE = np.float32
-_GRAD_ENABLED = True
+_GRAD_ENABLED = contextvars.ContextVar("grad_enabled", default=True)
 _node_ids = itertools.count()
-
-
-def default_dtype():
-    return _DTYPE
-
-
-@contextmanager
-def precision(mode):
-    """Temporarily switch the element type; mode is 'float32' or 'float64'."""
-    global _DTYPE
-    if mode not in ("float32", "float64"):
-        raise ParameterError(f"unknown precision mode {mode!r}")
-    saved = _DTYPE
-    _DTYPE = np.float32 if mode == "float32" else np.float64
-    try:
-        yield
-    finally:
-        _DTYPE = saved
 
 
 @contextmanager
 def no_grad():
-    """Skip tape construction inside the block (evaluation / teacher passes)."""
-    global _GRAD_ENABLED
-    saved = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Skip tape construction inside the block (evaluation / teacher passes),
+    in the calling thread only."""
+    token = _GRAD_ENABLED.set(False)
     try:
         yield
     finally:
-        _GRAD_ENABLED = saved
+        _GRAD_ENABLED.reset(token)
 
 
 class Tensor:
@@ -103,8 +83,11 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "_id", "_parents", "_backward", "_op")
 
     def __init__(self, data, requires_grad=False):
-        arr = np.asarray(data, dtype=_DTYPE)
-        self.data = arr
+        """A leaf over `data`: a float array is kept as it is, with its dtype;
+        any other input becomes a float32 array."""
+        if not (isinstance(data, np.ndarray) and data.dtype.kind == "f"):
+            data = np.asarray(data, dtype=np.float32)
+        self.data = data
         self.requires_grad = bool(requires_grad)
         self._id = next(_node_ids)
         self._parents = ()
@@ -117,7 +100,7 @@ class Tensor:
         out.data = data
         out._id = next(_node_ids)
         needs = False
-        if _GRAD_ENABLED:
+        if _GRAD_ENABLED.get():
             for p in parents:
                 if p.requires_grad:
                     needs = True

@@ -43,28 +43,34 @@ def rel_err(a, b, floor=1e-6):
 
 
 def grad_check(build, arrays, step=1e-4, tol=1e-4):
-    """Autodiff vs central finite differences in 64-bit mode.
+    """Autodiff vs central finite differences on float64 leaves.
 
     `build` maps a list of Tensors to a scalar-loss Tensor and must be pure.
     Returns the max relative error over every element of every gradient.
     """
     arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
-    with T.precision("float64"):
-        leaves = [T.Tensor(a, requires_grad=True) for a in arrays]
-        loss = build(leaves)
-        auto = [g if g is not None else np.zeros_like(a)
-                for g, a in zip(T.backward(loss, leaves), arrays)]
+    leaves = [T.Tensor(a, requires_grad=True) for a in arrays]
+    loss = build(leaves)
+    auto = [g if g is not None else np.zeros_like(a)
+            for g, a in zip(T.backward(loss, leaves), arrays)]
 
-        def loss_fn(arrs):
-            fresh = [T.Tensor(a, requires_grad=False) for a in arrs]
-            return build(fresh).item()
+    def loss_fn(arrs):
+        fresh = [T.Tensor(a, requires_grad=False) for a in arrs]
+        return build(fresh).item()
 
-        fd = finite_diff_grads(loss_fn, arrays, step=step)
+    fd = finite_diff_grads(loss_fn, arrays, step=step)
     worst = 0.0
     for g_auto, g_fd in zip(auto, fd):
         worst = max(worst, float(rel_err(g_auto, g_fd).max()))
     assert worst <= tol, f"gradient mismatch: max rel err {worst:.3e} > {tol}"
     return worst
+
+
+def float64_copy(model):
+    """`model` rebuilt from float64 copies of its arrays: the 64-bit
+    verification mode of the gradient and surgery checks."""
+    return M.from_arrays(model.config, {name: p.data.astype(np.float64)
+                                        for name, p in model.named_parameters()})
 
 
 def quick_sgd(model, items, steps, lr, batch=16, momentum=0.9, clip=1.0, seed=0):

@@ -28,8 +28,8 @@ from prunekit.model import ModelConfig, Triplet
 from prunekit.recovery import RecoveryConfig, TeacherConfig
 from prunekit.tensor import Tensor
 
-from conftest import count_params, finite_diff_grads, group_scale_sensitivity, group_slices, \
-    lookup_trained_tiny_model, param_partition, quick_sgd, rel_err, zero_group
+from conftest import count_params, finite_diff_grads, float64_copy, group_scale_sensitivity, \
+    group_slices, lookup_trained_tiny_model, param_partition, quick_sgd, rel_err, zero_group
 
 
 def report_pass(n, text):
@@ -153,36 +153,35 @@ def _model_grad_check(seed, tol=1e-4):
     rng = np.random.default_rng(seed)
     item = Triplet(x_v=rng.standard_normal(cfg.d_descriptor),
                    x_p=(33,), x_r=(int(rng.integers(0, 9)),), task="visual-count")
-    with T.precision("float64"):
-        model = M.init(cfg, seed=seed)
-        model.head_w.data = rng.standard_normal(model.head_w.data.shape) * 0.1
-        params = [(n, p) for n, p in model.named_parameters() if p.requires_grad]
-        grads = T.backward(M.response_loss(M.forward(model, item), item),
-                           [p for _, p in params])
-        autos = {n: (g if g is not None else np.zeros_like(p.data))
-                 for (n, p), g in zip(params, grads)}
+    model = float64_copy(M.init(cfg, seed=seed))
+    model.head_w.data = rng.standard_normal(model.head_w.data.shape) * 0.1
+    params = [(n, p) for n, p in model.named_parameters() if p.requires_grad]
+    grads = T.backward(M.response_loss(M.forward(model, item), item),
+                       [p for _, p in params])
+    autos = {n: (g if g is not None else np.zeros_like(p.data))
+             for (n, p), g in zip(params, grads)}
 
-        def loss_of():
-            with T.no_grad():
-                return M.response_loss(M.forward(model, item, capture=None), item).item()
+    def loss_of():
+        with T.no_grad():
+            return M.response_loss(M.forward(model, item, capture=None), item).item()
 
-        worst = 0.0
-        # near-init rms rows have tiny norms and huge third derivatives, so a
-        # 1e-4 step is truncation-dominated; 1e-5 keeps roundoff negligible too
-        step = 1e-5
-        for n, p in params:
-            flat = p.data.reshape(-1)
-            g = np.zeros_like(flat)
-            for j in range(flat.size):
-                orig = flat[j]
-                flat[j] = orig + step
-                hi = loss_of()
-                flat[j] = orig - step
-                lo = loss_of()
-                flat[j] = orig
-                g[j] = (hi - lo) / (2 * step)
-            worst = max(worst, float(rel_err(autos[n].reshape(-1), g).max()))
-        assert worst <= tol, f"model gradients off by {worst:.2e}"
+    worst = 0.0
+    # near-init rms rows have tiny norms and huge third derivatives, so a
+    # 1e-4 step is truncation-dominated; 1e-5 keeps roundoff negligible too
+    step = 1e-5
+    for n, p in params:
+        flat = p.data.reshape(-1)
+        g = np.zeros_like(flat)
+        for j in range(flat.size):
+            orig = flat[j]
+            flat[j] = orig + step
+            hi = loss_of()
+            flat[j] = orig - step
+            lo = loss_of()
+            flat[j] = orig
+            g[j] = (hi - lo) / (2 * step)
+        worst = max(worst, float(rel_err(autos[n].reshape(-1), g).max()))
+    assert worst <= tol, f"model gradients off by {worst:.2e}"
 
 
 def test_criterion_01_autodiff_gradcheck():
@@ -190,23 +189,22 @@ def test_criterion_01_autodiff_gradcheck():
     rng = np.random.default_rng(42)
     builders = _graph_builders(rng)
     checked = 0
-    with T.precision("float64"):
-        for k in range(48):
-            arrays, build = builders[k % len(builders)]()
-            arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
-            leaves = [Tensor(a, requires_grad=True) for a in arrays]
-            loss = build(leaves)
-            autos = [g if g is not None else np.zeros_like(a)
-                     for g, a in zip(T.backward(loss, leaves), arrays)]
+    for k in range(48):
+        arrays, build = builders[k % len(builders)]()
+        arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        loss = build(leaves)
+        autos = [g if g is not None else np.zeros_like(a)
+                 for g, a in zip(T.backward(loss, leaves), arrays)]
 
-            def loss_fn(arrs):
-                return build([Tensor(a) for a in arrs]).item()
+        def loss_fn(arrs):
+            return build([Tensor(a) for a in arrs]).item()
 
-            fds = finite_diff_grads(loss_fn, arrays, step=1e-4)
-            for ga, gf in zip(autos, fds):
-                worst = float(rel_err(ga, gf).max())
-                assert worst <= 1e-4, f"graph {k}: rel err {worst:.2e}"
-            checked += 1
+        fds = finite_diff_grads(loss_fn, arrays, step=1e-4)
+        for ga, gf in zip(autos, fds):
+            worst = float(rel_err(ga, gf).max())
+            assert worst <= 1e-4, f"graph {k}: rel err {worst:.2e}"
+        checked += 1
     _model_grad_check(seed=1)
     _model_grad_check(seed=2)
     checked += 2
@@ -276,33 +274,32 @@ def test_criterion_03_taylor_fidelity():
     rho = float(stats.spearmanr([g.importance for g in groups], deltas).statistic)
     assert rho >= 0.7, f"spearman {rho:.3f}"
 
-    with T.precision("float64"):
-        model64 = M.init(cfg, seed=7)
-        quick_sgd(model64, pool, steps=200, lr=0.1, seed=7)
-        calib64 = D.draw_calibration(pool, n=6, seed=3)
-        groups64 = [g for g in I.build_dependency_groups(model64) if g.kind == "mlp-channel"]
-        I.taylor_group_importance(model64, groups64, calib64)
-        sens = {g.gid: group_scale_sensitivity(model64, g, calib64) for g in groups64}
-        target = max(groups64, key=lambda g: abs(sens[g.gid]))
-        s = sens[target.gid]
+    model64 = float64_copy(M.init(cfg, seed=7))
+    quick_sgd(model64, pool, steps=200, lr=0.1, seed=7)
+    calib64 = D.draw_calibration(pool, n=6, seed=3)
+    groups64 = [g for g in I.build_dependency_groups(model64) if g.kind == "mlp-channel"]
+    I.taylor_group_importance(model64, groups64, calib64)
+    sens = {g.gid: group_scale_sensitivity(model64, g, calib64) for g in groups64}
+    target = max(groups64, key=lambda g: abs(sens[g.gid]))
+    s = sens[target.gid]
 
-        def c64_loss(m):
-            with T.no_grad():
-                return float(np.mean([M.response_loss(M.forward(m, it, capture=None), it).item()
-                                      for it in calib64]))
+    def c64_loss(m):
+        with T.no_grad():
+            return float(np.mean([M.response_loss(M.forward(m, it, capture=None), it).item()
+                                  for it in calib64]))
 
-        base64 = c64_loss(model64)
-        rates = {}
-        by_name = dict(model64.named_parameters())
-        for eps in (1e-3, 1e-4):
-            clone = model64.copy()
-            cn = dict(clone.named_parameters())
-            for sl in group_slices(target):
-                arr = cn[sl.param].data
-                idx = tuple(slice(sl.start, sl.stop) if a == sl.axis else slice(None)
-                            for a in range(arr.ndim))
-                arr[idx] *= (1.0 - eps)
-            rates[eps] = (c64_loss(clone) - base64) / eps
+    base64 = c64_loss(model64)
+    rates = {}
+    by_name = dict(model64.named_parameters())
+    for eps in (1e-3, 1e-4):
+        clone = model64.copy()
+        cn = dict(clone.named_parameters())
+        for sl in group_slices(target):
+            arr = cn[sl.param].data
+            idx = tuple(slice(sl.start, sl.stop) if a == sl.axis else slice(None)
+                        for a in range(arr.ndim))
+            arr[idx] *= (1.0 - eps)
+        rates[eps] = (c64_loss(clone) - base64) / eps
     assert abs(rates[1e-3] - rates[1e-4]) <= 0.10 * max(abs(rates[1e-3]), abs(rates[1e-4]))
     assert abs(rates[1e-4] + s) <= 0.10 * abs(s)
     elapsed = time.perf_counter() - start
@@ -380,20 +377,19 @@ def test_criterion_06_kd_correctness():
     s, t = kd_pair([0.5, 0.5], [0.9, 0.1])
     assert abs(R.kd_logits_loss(s, t, 1.0, "rkl").item() - 0.3681) < 1e-4
 
-    with T.precision("float64"):
-        lt = np.array([[0.4, -1.0, 0.6, 0.1]])
-        for direction in ("kl", "rkl"):
-            arrays = [np.array([[0.2, 0.9, -1.2, 0.05]])]
+    lt = np.array([[0.4, -1.0, 0.6, 0.1]])
+    for direction in ("kl", "rkl"):
+        arrays = [np.array([[0.2, 0.9, -1.2, 0.05]])]
 
-            def build(p):
-                s_tr = trace_from_logits(T.concat_rows([p[0], p[0]]))
-                return R.kd_logits_loss(s_tr, lt, tau=2.0, direction=direction)
+        def build(p):
+            s_tr = trace_from_logits(T.concat_rows([p[0], p[0]]))
+            return R.kd_logits_loss(s_tr, lt, tau=2.0, direction=direction)
 
-            leaves = [Tensor(arrays[0], requires_grad=True)]
-            grad, = T.backward(build(leaves), leaves)
-            fd = finite_diff_grads(lambda arrs: build([Tensor(a) for a in arrs]).item(),
-                                   [arrays[0].astype(np.float64)])
-            assert float(rel_err(grad, fd[0]).max()) <= 1e-4
+        leaves = [Tensor(arrays[0], requires_grad=True)]
+        grad, = T.backward(build(leaves), leaves)
+        fd = finite_diff_grads(lambda arrs: build([Tensor(a) for a in arrs]).item(),
+                               [arrays[0].astype(np.float64)])
+        assert float(rel_err(grad, fd[0]).max()) <= 1e-4
     report_pass(6, "KL/RKL zero at identity, hand values to 4 decimals, grads match FD")
 
 

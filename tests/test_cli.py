@@ -353,9 +353,9 @@ def test_malformed_dataset_item_or_small_vocab_is_config_error(workspace, tmp_pa
     cfg, data, out = tmp_path / "c.ini", tmp_path / "d.json", tmp_path / "t.ckpt"
     cfg.write_text(workspace["cfg"].read_text())
     payload = json.loads(workspace["data"].read_text())
-    if case == "prompt-past-max-seq-len":  # 2 visual + 40 prompt + 1 response tokens
-        payload["train"][0]["prompt"] = [0] * 40
-        message = "sequence of 43 tokens exceeds max_seq_len=16"
+    if case == "prompt-past-max-seq-len":  # an echo item: 2 visual + 2 prompt + 1 response tokens
+        cfg.write_text(cfg.read_text().replace("max_seq_len = 16", "max_seq_len = 4"))
+        message = "sequence of 5 tokens exceeds max_seq_len=4"
     elif case == "train-record-without-task":
         del payload["train"][0]["task"]
         message = "train record 0: unknown task None"
@@ -586,10 +586,11 @@ def test_pipeline_composability_and_manifests(workspace, capsys):
     assert (root / "summary.csv").exists() and (root / "summary.json").exists()
     with open(root / "summary.json") as f:
         assert len(json.load(f)["runs"]) == 2
-    teacher, data = str(workspace["teacher"]), str(workspace["data"])
+    teacher, data, cfg = str(workspace["teacher"]), str(workspace["data"]), str(workspace["cfg"])
     for out, inputs, outputs in (
             (pruned, [teacher, data], [pruned, f"{pruned}.surgery.jsonl"]),
-            (recovered, [str(pruned), teacher, data], [recovered, f"{recovered}.history.jsonl"]),
+            (recovered, [cfg, str(pruned), teacher, data],
+             [recovered, f"{recovered}.history.jsonl"]),
             (ev_t, [teacher, data], [ev_t]),
             (ev_r, [str(recovered), data, str(ev_t)], [ev_r]),
             (root / "summary", [str(ev_t), str(ev_r)],

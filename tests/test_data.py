@@ -86,12 +86,29 @@ def test_dataset_file_roundtrip_and_byte_stability(tmp_path):
     for a, b in zip(train + evals, t2 + e2):
         assert a.task == b.task and a.x_p == b.x_p and a.x_r == b.x_r
         assert np.array_equal(a.x_v, b.x_v)
-    records = [[{"task": it.task, "meta": it.meta, "prompt": list(it.x_p),
-                 "response": list(it.x_r)} for it in pool] for pool in (train, evals)]
-    payload = {"version": 1, "seed": 4, "descriptor_dim": D.DESCRIPTOR_DIM,
+    records = [[{"task": it.task, "meta": it.meta} for it in pool] for pool in (train, evals)]
+    payload = {"version": 2, "seed": 4, "descriptor_dim": D.DESCRIPTOR_DIM,
                "train": records[0], "eval": records[1]}
     assert D.decode(p1, "dataset") == payload
     assert p1.read_text(encoding="utf-8") == D.encode(payload) + "\n"
+
+
+def test_version_1_record_loads_as_the_item_its_task_and_meta_imply(tmp_path):
+    """A version-1 file stores prompt and response beside task and meta; the
+    loader ignores the two, so a stored response that disagrees with the meta
+    (two tokens, one outside the answer support) loads as the implied answer."""
+    train, evals = D.generate_dataset(n=30, seed=2)
+    item = next(it for it in evals if it.task == "visual-lookup")
+    records = [[{"task": it.task, "meta": it.meta, "prompt": list(it.x_p),
+                 "response": list(it.x_r)} for it in pool] for pool in (train, evals)]
+    i = evals.index(item)
+    records[1][i]["prompt"], records[1][i]["response"] = [0, 1, 2], [item.x_r[0] + 1, 40]
+    path = tmp_path / "v1.json"
+    D.write_jsonl(path, [{"version": 1, "seed": 2, "descriptor_dim": D.DESCRIPTOR_DIM,
+                          "train": records[0], "eval": records[1]}])
+    loaded = D.load_dataset(path)[1][i]
+    assert (loaded.x_p, loaded.x_r) == ((D.LOOKUP_MARKER,), (item.meta["slot"],))
+    assert (loaded.x_p, loaded.x_r) == (item.x_p, item.x_r)
 
 
 def test_write_jsonl_writes_one_decodable_line_per_record(tmp_path):

@@ -15,8 +15,8 @@ from prunekit import tensor as T
 from prunekit.importance import NonFiniteGradientError
 from prunekit.model import ModelConfig
 
-from conftest import group_scale_sensitivity, group_slices, lookup_trained_tiny_model, \
-    quick_sgd, zero_group
+from conftest import float64_copy, group_scale_sensitivity, group_slices, \
+    lookup_trained_tiny_model, quick_sgd, zero_group
 
 
 def tiny_config(**kw):
@@ -224,23 +224,22 @@ def test_taylor_rejects_grouped_matrix_behind_lora():
 
 
 def test_scale_sensitivity_matches_per_item_loop(rng):
-    with T.precision("float64"):
-        model = M.init(ModelConfig(), seed=9)
-        model.head_w.data[...] = rng.standard_normal(model.head_w.data.shape) * 0.1
-        calib = calib_items(n=40, seed=4)
-        assert len({len(it.x_p) for it in calib}) == 2
-        by_name = dict(model.named_parameters())
-        groups = I.build_dependency_groups(model)
-        picked = [groups[0], groups[-1]]
-        want = np.zeros(len(picked))
-        for item in calib:
-            grad = dict(zip(by_name, T.backward(
-                M.response_loss(M.forward(model, item, capture=None), item), by_name.values())))
-            for k, group in enumerate(picked):
-                want[k] += sum(float((sl.take(grad[sl.param])
-                                      * sl.take(by_name[sl.param].data)).sum())
-                               for sl in group_slices(group))
-        got = [group_scale_sensitivity(model, g, calib) for g in picked]
+    model = float64_copy(M.init(ModelConfig(), seed=9))
+    model.head_w.data[...] = rng.standard_normal(model.head_w.data.shape) * 0.1
+    calib = calib_items(n=40, seed=4)
+    assert len({len(it.x_p) for it in calib}) == 2
+    by_name = dict(model.named_parameters())
+    groups = I.build_dependency_groups(model)
+    picked = [groups[0], groups[-1]]
+    want = np.zeros(len(picked))
+    for item in calib:
+        grad = dict(zip(by_name, T.backward(
+            M.response_loss(M.forward(model, item, capture=None), item), by_name.values())))
+        for k, group in enumerate(picked):
+            want[k] += sum(float((sl.take(grad[sl.param])
+                                  * sl.take(by_name[sl.param].data)).sum())
+                           for sl in group_slices(group))
+    got = [group_scale_sensitivity(model, g, calib) for g in picked]
     np.testing.assert_allclose(got, want / len(calib), rtol=1e-9)
 
 
@@ -267,36 +266,35 @@ def test_taylor_matches_leave_one_group_out_spearman():
 
 
 def test_first_order_scaling_converges():
-    with T.precision("float64"):
-        cfg = tiny_config()
-        model = M.init(cfg, seed=5)
-        train, _ = D.generate_dataset(n=90, seed=7)
-        quick_sgd(model, train, steps=200, lr=0.1)
-        calib = D.draw_calibration(train, n=6, seed=3)
-        groups = [g for g in I.build_dependency_groups(model) if g.kind == "mlp-channel"]
-        I.taylor_group_importance(model, groups, calib)
+    cfg = tiny_config()
+    model = float64_copy(M.init(cfg, seed=5))
+    train, _ = D.generate_dataset(n=90, seed=7)
+    quick_sgd(model, train, steps=200, lr=0.1)
+    calib = D.draw_calibration(train, n=6, seed=3)
+    groups = [g for g in I.build_dependency_groups(model) if g.kind == "mlp-channel"]
+    I.taylor_group_importance(model, groups, calib)
 
-        # strongest scale-sensitivity channel: the cleanest first-order signal
-        sens = {g.gid: group_scale_sensitivity(model, g, calib) for g in groups}
-        target = max(groups, key=lambda g: abs(sens[g.gid]))
-        s = sens[target.gid]
+    # strongest scale-sensitivity channel: the cleanest first-order signal
+    sens = {g.gid: group_scale_sensitivity(model, g, calib) for g in groups}
+    target = max(groups, key=lambda g: abs(sens[g.gid]))
+    s = sens[target.gid]
 
-        def calib_loss(m):
-            with T.no_grad():
-                return float(np.mean([M.response_loss(M.forward(m, it, capture=None), it).item()
-                                      for it in calib]))
+    def calib_loss(m):
+        with T.no_grad():
+            return float(np.mean([M.response_loss(M.forward(m, it, capture=None), it).item()
+                                  for it in calib]))
 
-        base = calib_loss(model)
-        rates = {}
-        for eps in (1e-3, 1e-4):
-            clone = model.copy()
-            by_name = dict(clone.named_parameters())
-            for sl in group_slices(target):
-                arr = by_name[sl.param].data
-                idx = tuple(slice(sl.start, sl.stop) if a == sl.axis else slice(None)
-                            for a in range(arr.ndim))
-                arr[idx] *= (1.0 - eps)
-            rates[eps] = (calib_loss(clone) - base) / eps
+    base = calib_loss(model)
+    rates = {}
+    for eps in (1e-3, 1e-4):
+        clone = model.copy()
+        by_name = dict(clone.named_parameters())
+        for sl in group_slices(target):
+            arr = by_name[sl.param].data
+            idx = tuple(slice(sl.start, sl.stop) if a == sl.axis else slice(None)
+                        for a in range(arr.ndim))
+            arr[idx] *= (1.0 - eps)
+        rates[eps] = (calib_loss(clone) - base) / eps
 
     # w -> (1-eps)w perturbs by -eps*w, so dLoss/deps converges to -S
     assert abs(rates[1e-3] - rates[1e-4]) <= 0.10 * max(abs(rates[1e-3]), abs(rates[1e-4]))

@@ -10,7 +10,7 @@ from prunekit import tensor as T
 from prunekit.model import ModelConfig, SequenceLengthError, Triplet
 from prunekit.tensor import ParameterError
 
-from conftest import count_params, param_counts, param_partition
+from conftest import count_params, float64_copy, param_counts, param_partition
 
 
 def make_triplet(cfg, rng, n_prompt=2, n_resp=1):
@@ -81,12 +81,11 @@ def oracle_forward(model, triplet):
 
 def test_forward_matches_independent_reimplementation(rng):
     cfg = ModelConfig(n_layers=2)
-    with T.precision("float64"):
-        model = M.init(cfg, seed=7)
-        model.head_w.data[...] = rng.standard_normal(model.head_w.data.shape) * 0.1
-        trip = make_triplet(cfg, rng, n_prompt=3, n_resp=2)
-        trace = M.forward(model, trip)
-        ref = oracle_forward(model, trip)
+    model = float64_copy(M.init(cfg, seed=7))
+    model.head_w.data[...] = rng.standard_normal(model.head_w.data.shape) * 0.1
+    trip = make_triplet(cfg, rng, n_prompt=3, n_resp=2)
+    trace = M.forward(model, trip)
+    ref = oracle_forward(model, trip)
     assert np.abs(trace.logits.data - ref).max() <= 1e-5
 
 

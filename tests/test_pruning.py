@@ -22,7 +22,7 @@ from prunekit import tensor as T
 from prunekit.model import ModelConfig
 from prunekit.pruning import Floors, InfeasiblePlanError, PlanModelMismatchError
 
-from conftest import count_params, quick_sgd, zero_group
+from conftest import count_params, float64_copy, quick_sgd, zero_group
 
 
 @functools.lru_cache(maxsize=None)
@@ -410,14 +410,13 @@ def test_surgery_properties_on_random_feasible_victims(kind, data):
 
     # Masked equivalence in float64: in float32 the two summation orders
     # differ by up to ~30 eps of the largest logit, which hides nothing.
-    with T.precision("float64"):
-        masked = base.copy()
-        for g in victims:
-            zero_group(masked, g)
-        pruned = base.copy()
-        P.execute(pruned, plan_removing(pruned, victims))
-        for a, b in zip(all_logits(masked, items), all_logits(pruned, items)):
-            assert np.abs(a - b).max() <= 1e-9
+    masked = float64_copy(base)
+    for g in victims:
+        zero_group(masked, g)
+    pruned = float64_copy(base)
+    P.execute(pruned, plan_removing(pruned, victims))
+    for a, b in zip(all_logits(masked, items), all_logits(pruned, items)):
+        assert np.abs(a - b).max() <= 1e-9
 
     pruned = base.copy()
     before = count_params(pruned, "decoder-blocks")

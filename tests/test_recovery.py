@@ -19,7 +19,7 @@ from prunekit.model import ForwardTrace, ModelConfig, TokenLayout, Triplet
 from prunekit.recovery import RecoveryConfig, TrainingDivergedError
 from prunekit.tensor import GraphError, ParameterError, Tensor
 
-from conftest import param_partition, rel_err, sft_loss
+from conftest import float64_copy, param_partition, rel_err, sft_loss
 
 
 def trace_from_logits(logits, n_prompt=1, n_resp=1):
@@ -47,7 +47,7 @@ def kd_pair(p_teacher, p_student):
     lt = np.log(np.asarray(p_teacher, dtype=np.float64))
     ls = np.log(np.asarray(p_student, dtype=np.float64))
     # two equal rows, the last of which predicts the response
-    s_logits = Tensor(np.stack([ls, ls]).astype(T.default_dtype()), requires_grad=True)
+    s_logits = Tensor(np.stack([ls, ls]).astype(np.float32), requires_grad=True)
     return trace_from_logits(s_logits), lt[None]
 
 
@@ -95,16 +95,15 @@ def test_kd_temperature_scaling_matches_scalar_oracle():
 
 
 def test_kd_gradient_matches_finite_differences():
-    with T.precision("float64"):
-        lt = np.array([[0.4, -1.0, 0.6, 0.1]])
-        ls0 = np.array([[0.2, 0.9, -1.2, 0.05]])
-        for direction in ("kl", "rkl"):
-            def build(params):
-                s_tr = trace_from_logits(T.concat_rows([params[0], params[0]]))
-                return R.kd_logits_loss(s_tr, lt, tau=2.0, direction=direction)
+    lt = np.array([[0.4, -1.0, 0.6, 0.1]])
+    ls0 = np.array([[0.2, 0.9, -1.2, 0.05]])
+    for direction in ("kl", "rkl"):
+        def build(params):
+            s_tr = trace_from_logits(T.concat_rows([params[0], params[0]]))
+            return R.kd_logits_loss(s_tr, lt, tau=2.0, direction=direction)
 
-            from conftest import grad_check
-            grad_check(build, [ls0])
+        from conftest import grad_check
+        grad_check(build, [ls0])
 
 
 def test_kd_layout_mismatch_rejected():
@@ -126,7 +125,7 @@ def make_state_trace(states, n_prompt=1, n_resp=1):
     """A one-item trace whose block outputs are `states`, the last n_resp
     rows of each predicting the response; like trace_from_logits, every
     tensor gets one unread row after them."""
-    logits = np.zeros((states[0].shape[0] + 1, 4), dtype=T.default_dtype())
+    logits = np.zeros((states[0].shape[0] + 1, 4), dtype=np.float32)
     tensors = [Tensor(np.vstack([s, np.zeros((1, s.shape[1]), dtype=s.dtype)])) for s in states]
     layout = TokenLayout(n_visual=states[0].shape[0] - n_prompt - n_resp + 1,
                          n_prompt=n_prompt, n_response=n_resp)
@@ -471,17 +470,16 @@ def test_eval_metric_recorded_exactly_every_eval_every_steps(entry):
 
 
 def test_teacher_clipped_step_moves_parameters_by_lr_times_clip():
-    with T.precision("float64"):
-        model = M.init(ModelConfig(), seed=3)
-        train, _ = D.generate_dataset(n=30, seed=6)
-        before = {n: p.data.copy() for n, p in model.named_parameters()}
-        # one step with warmup 0 runs at peak_lr; the first momentum step is
-        # the plain gradient step
-        cfg = R.TeacherConfig(steps=1, batch_size=8, peak_lr=0.1, warmup=0,
-                              clip=1e-3, seed=0)
-        R.train_teacher(model, train, cfg)
-        moved = math.sqrt(sum(float(((p.data - before[n]) ** 2).sum())
-                              for n, p in model.named_parameters()))
+    model = float64_copy(M.init(ModelConfig(), seed=3))
+    train, _ = D.generate_dataset(n=30, seed=6)
+    before = {n: p.data.copy() for n, p in model.named_parameters()}
+    # one step with warmup 0 runs at peak_lr; the first momentum step is
+    # the plain gradient step
+    cfg = R.TeacherConfig(steps=1, batch_size=8, peak_lr=0.1, warmup=0,
+                          clip=1e-3, seed=0)
+    R.train_teacher(model, train, cfg)
+    moved = math.sqrt(sum(float(((p.data - before[n]) ** 2).sum())
+                          for n, p in model.named_parameters()))
     assert abs(moved - cfg.peak_lr * cfg.clip) <= 1e-9 * cfg.peak_lr * cfg.clip
 
 

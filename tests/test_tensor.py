@@ -1,16 +1,20 @@
 """Tensor engine: op semantics against naive oracles, gradients against finite differences."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prunekit import checkpoint as C
+from prunekit import data as D
+from prunekit import model as M
 from prunekit import tensor as T
 from prunekit.tensor import DimensionError, GraphError, ParameterError, Tensor
 
-from conftest import grad_check, rel_err
+from conftest import float64_copy, grad_check, rel_err
 from test_acceptance import _graph_builders
 
 
@@ -264,8 +268,7 @@ def test_grad_exp_reshape_scale(rng):
 
 
 # engine names that are not differentiable ops
-NOT_OPS = {"Tensor", "DimensionError", "ParameterError", "GraphError", "precision",
-           "default_dtype", "no_grad", "backward"}
+NOT_OPS = {"Tensor", "DimensionError", "ParameterError", "GraphError", "no_grad", "backward"}
 # the op name a tape node records, where it differs from the function's name
 TAPE_NAMES = {"slice_rows": "slice", "concat_rows": "concat", "sum_all": "sum"}
 
@@ -273,14 +276,13 @@ TAPE_NAMES = {"slice_rows": "slice", "concat_rows": "concat", "sum_all": "sum"}
 def test_every_differentiable_op_is_gradchecked():
     """Criterion 1's random graphs reach every differentiable op of the engine."""
     reached = set()
-    with T.precision("float64"):
-        for make in _graph_builders(np.random.default_rng(0)):
-            arrays, build = make()
-            stack = [build([Tensor(a, requires_grad=True) for a in arrays])]
-            while stack:
-                node = stack.pop()
-                reached.add(node.op)
-                stack.extend(node.parents)
+    for make in _graph_builders(np.random.default_rng(0)):
+        arrays, build = make()
+        stack = [build([Tensor(a, requires_grad=True) for a in arrays])]
+        while stack:
+            node = stack.pop()
+            reached.add(node.op)
+            stack.extend(node.parents)
     ops = {TAPE_NAMES.get(name, name) for name in T.__all__ if name not in NOT_OPS}
     assert ops <= reached, f"no criterion-1 graph reaches {sorted(ops - reached)}"
 
@@ -316,11 +318,19 @@ def test_determinism_bit_identical(rng):
     assert g1.tobytes() == g2.tobytes()
 
 
-def test_precision_mode_switches_dtype():
-    assert Tensor([1.0]).data.dtype == np.float32
-    with T.precision("float64"):
-        assert Tensor([1.0]).data.dtype == np.float64
-    assert Tensor([1.0]).data.dtype == np.float32
+def test_dtype_lives_on_the_arrays(tmp_path):
+    """A leaf keeps a float array's dtype and makes anything else float32; a
+    model keeps the dtype of the arrays it was built from."""
+    for dtype in (np.float32, np.float64):
+        assert Tensor(np.ones(2, dtype=dtype)).data.dtype == dtype
+    for data in ([1.0], [1, 2], np.arange(3), 2.5):
+        assert Tensor(data).data.dtype == np.float32
+    model = M.init(M.ModelConfig(n_layers=1), seed=0)
+    C.save(model, tmp_path / "m.ckpt")
+    for m in (model, C.load(tmp_path / "m.ckpt")[0], model.copy()):
+        assert {p.data.dtype for _, p in m.named_parameters()} == {np.dtype(np.float32)}
+    model64 = float64_copy(model)
+    assert {p.data.dtype for _, p in model64.copy().named_parameters()} == {np.dtype(np.float64)}
 
 
 def test_no_grad_skips_tape():
@@ -328,6 +338,33 @@ def test_no_grad_skips_tape():
     with T.no_grad():
         y = T.mul(x, x)
     assert y._backward is None and not y.requires_grad
+
+
+def test_no_grad_holds_for_its_own_thread_only():
+    """While one thread sits in no_grad, a forward and backward in another
+    thread still reach every trainable parameter."""
+    model = M.init(M.ModelConfig(n_layers=1), seed=0)
+    item = D.generate_dataset(n=30, seed=0)[0][0]
+    entered, done, taped = threading.Event(), threading.Event(), []
+
+    def hold():
+        with T.no_grad():
+            entered.set()
+            done.wait(timeout=60)
+            taped.append(T.mul(x, x).requires_grad)
+
+    x = Tensor([1.0], requires_grad=True)
+    thread = threading.Thread(target=hold)
+    thread.start()
+    try:
+        assert entered.wait(timeout=60)
+        params = [p for _, p in model.named_parameters() if p.requires_grad]
+        grads = T.backward(M.response_loss(M.forward(model, item), item), params)
+    finally:
+        done.set()
+        thread.join()
+    assert all(g is not None for g in grads) and len(grads) == len(params)
+    assert taped == [False]
 
 
 def test_outputs_finite_on_valid_inputs(rng):
@@ -353,13 +390,12 @@ def test_grad_attention_and_rope_over_stacked_sequences(rng):
 def test_stacked_sequences_match_one_at_a_time(rng):
     n_seq, t, heads = 3, 5, 2
     q, k, v = (rng.standard_normal((n_seq * t, 8)) for _ in range(3))
-    with T.precision("float64"):
-        stacked = T.causal_attention(T.rope(Tensor(q), heads, t), T.rope(Tensor(k), heads, t),
-                                     Tensor(v), heads, t).data
-        for s in range(n_seq):
-            rows = slice(s * t, (s + 1) * t)
-            one = T.causal_attention(T.rope(Tensor(q[rows]), heads),
-                                     T.rope(Tensor(k[rows]), heads), Tensor(v[rows]), heads).data
-            np.testing.assert_allclose(stacked[rows], one, rtol=1e-12, atol=1e-12)
+    stacked = T.causal_attention(T.rope(Tensor(q), heads, t), T.rope(Tensor(k), heads, t),
+                                 Tensor(v), heads, t).data
+    for s in range(n_seq):
+        rows = slice(s * t, (s + 1) * t)
+        one = T.causal_attention(T.rope(Tensor(q[rows]), heads),
+                                 T.rope(Tensor(k[rows]), heads), Tensor(v[rows]), heads).data
+        np.testing.assert_allclose(stacked[rows], one, rtol=1e-12, atol=1e-12)
     with pytest.raises(DimensionError):
         T.rope(Tensor(q), heads, seq_len=4)
