@@ -91,7 +91,12 @@ def _load_cfg(path):
 # Each command returns the files it wrote; `main` writes their manifest.
 
 def cmd_generate_data(args):
-    ds = data_settings(_load_cfg(args.config), set_flags("data", args))
+    flags = set_flags("data", args)
+    ds = data_settings(_load_cfg(args.config), flags)
+    unknown = [task for task in ds["tasks"] if task not in D.TASKS]
+    if unknown:
+        where = "--tasks" if "tasks" in flags else f"[data] tasks of {args.config}"
+        raise ParameterError(f"unknown task {unknown[0]!r} in {where}")
     train, evals = D.generate_dataset(task_mix=ds["tasks"], n=ds["n"],
                                       seed=args.seed, eval_fraction=ds["eval_fraction"])
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
@@ -105,6 +110,11 @@ def cmd_train_teacher(args):
     mcfg = model_config(cfg)
     tcfg = teacher_config(cfg, {**set_flags("teacher", args), "seed": child_seed(args.seed, 2)})
     train, evals = D.load_dataset(args.data)
+    longest = max((M.layout_of(it, mcfg).total for it in train + evals), default=0)
+    if longest > mcfg.max_seq_len:
+        raise M.SequenceLengthError(
+            f"{args.data}: sequence of {longest} tokens exceeds max_seq_len="
+            f"{mcfg.max_seq_len} ([model] of {args.config or 'the default config'})")
     model = M.init(mcfg, seed=child_seed(args.seed, 0))
     eval_fn = (lambda m: E.evaluate(m, evals).avg) if args.eval_during else None
     history = R.train_teacher(model, train, tcfg, eval_fn=eval_fn,

@@ -42,10 +42,13 @@ def predict_answer(model, items):
         trace = M.forward(model, items, capture=None)
         logits = M.response_rows(trace, trace.logits).data
     rows = logits.reshape(trace.n_items, -1, logits.shape[1])[:, 0]
-    answers = []
-    for item, row in zip(M.as_items(items), rows):
-        support = list(answer_support(item.task))
-        answers.append(support[int(np.argmax(row[support]))])
+    tasks = [item.task for item in M.as_items(items)]
+    answers = [None] * len(tasks)
+    for task in dict.fromkeys(tasks):  # one argmax per task; ties go to the first index
+        idx = [i for i, t in enumerate(tasks) if t == task]
+        support = list(answer_support(task))
+        for i, j in zip(idx, np.argmax(rows[np.ix_(idx, support)], axis=1)):
+            answers[i] = support[j]
     return answers
 
 

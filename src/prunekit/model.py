@@ -121,7 +121,8 @@ def as_items(items):
     return [items] if isinstance(items, Triplet) else list(items)
 
 
-def _layout_of(triplet, config):
+def layout_of(triplet, config):
+    """The token layout `forward` gives `triplet` under `config`."""
     return TokenLayout(config.n_visual_tokens, len(triplet.x_p), len(triplet.x_r))
 
 
@@ -310,11 +311,11 @@ def forward(model, items, capture="all"):
     items = as_items(items)
     if not items:
         raise ParameterError("forward: no items")
-    layout = _layout_of(items[0], cfg)
+    layout = layout_of(items[0], cfg)
     for item in items:
-        if _layout_of(item, cfg) != layout:
+        if layout_of(item, cfg) != layout:
             raise ParameterError(
-                f"forward: items mix token layouts {layout} and {_layout_of(item, cfg)}")
+                f"forward: items mix token layouts {layout} and {layout_of(item, cfg)}")
     if layout.total > cfg.max_seq_len:
         raise SequenceLengthError(
             f"sequence of {layout.total} tokens exceeds max_seq_len={cfg.max_seq_len}")

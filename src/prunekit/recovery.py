@@ -210,7 +210,7 @@ class Sgd:
                 continue
             v = self.velocity[n]
             v *= self.momentum
-            v += g * grad_scale
+            v += g if grad_scale == 1.0 else g * grad_scale  # g * 1.0 == g: skip the pass
             p.data -= self.lr * v
 
 

@@ -9,6 +9,16 @@ The element type lives on the arrays: a leaf keeps a float array's dtype
 (float32 in training, float64 in the gradient checks) and an op's output
 takes its operands'. Grad mode is per context (so per thread): `no_grad`
 turns tape construction off for the calling thread alone.
+
+Kernels are tuned for speed under one exactness rule, so a rewrite leaves
+every bit of training unchanged: each output element takes the same float
+operations on the same operands in the same order as the plain formula
+(`a + b` may become `b + a`, `a - b*s` may become `a + b*(-s)`, and `out=`
+may replace a temporary). Sums and means stay numpy reductions with their
+axis and layout; only a max, exact in any order, is taken column by column.
+Only the right operand of a batched matmul is made contiguous, a copy
+checked to leave the product's bits unchanged.
+`tests/test_tensor.py` keeps the plain formulas as bitwise oracles.
 """
 
 from __future__ import annotations
@@ -234,7 +244,7 @@ def linear(x, w):
 
 def reshape(a, shape):
     shape = tuple(shape)
-    if int(np.prod(shape)) != a.data.size:
+    if math.prod(shape) != a.data.size:
         raise DimensionError(f"reshape: cannot view {a.data.shape} as {shape}")
     old = a.data.shape
 
@@ -266,7 +276,8 @@ def rms_norm(x, gain, eps=1e-6):
     if x.data.ndim != 2 or gain.data.ndim != 1 or gain.data.shape[0] != x.data.shape[1]:
         raise DimensionError(f"rms_norm: got x {x.data.shape}, gain {gain.data.shape}")
     d = x.data.shape[1]
-    ms = (x.data * x.data).mean(axis=1, keepdims=True)
+    ms = np.add.reduce(x.data * x.data, axis=1, keepdims=True)
+    ms /= d  # .mean's quotient, without its float64 round trip
     inv = 1.0 / np.sqrt(ms + eps)
     xhat = x.data * inv
     out_data = xhat * gain.data
@@ -289,12 +300,25 @@ def gelu(x):
     """GELU, tanh form: 0.5 x (1 + tanh(c (x + 0.044715 x^3)))."""
     xd = x.data
     x2 = xd * xd
-    t = np.tanh(_GELU_C * (xd + 0.044715 * (x2 * xd)))
-    out_data = 0.5 * xd * (1.0 + t)
+    t = x2 * xd
+    t *= 0.044715
+    t += xd
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out_data = xd * 0.5
+    out_data *= t + 1.0
 
     def bwd(g, push):
-        du = _GELU_C * (1.0 + 0.134145 * x2)
-        push(x, g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * du))
+        du = x2 * 0.134145
+        du += 1.0
+        du *= _GELU_C
+        gx = t * t
+        np.subtract(1.0, gx, out=gx)
+        gx *= xd * 0.5
+        gx *= du
+        gx += (t + 1.0) * 0.5
+        gx *= g
+        push(x, gx)
 
     return Tensor._from_op(out_data, (x,), bwd, "gelu")
 
@@ -385,15 +409,18 @@ def causal_attention(q, k, v, n_heads, seq_len=None):
         return x.reshape(B, n_heads, T, hd).transpose(0, 2, 1, 3).reshape(rows, width)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    s = np.matmul(qh, kh.transpose(0, 2, 1)) * sc
+    s = np.matmul(qh, np.ascontiguousarray(kh.transpose(0, 2, 1))) * sc
     s[:, _causal_mask(T)] = -np.inf
-    p = np.exp(s - s.max(axis=-1, keepdims=True))
+    row_max = s[..., :1].copy()  # a max is exact in any order: one pass per key column
+    for j in range(1, T):
+        np.maximum(row_max, s[..., j:j + 1], out=row_max)
+    p = np.exp(s - row_max)
     p /= p.sum(axis=-1, keepdims=True)
     out_data = merge(np.matmul(p, vh))
 
     def bwd(g, push):
         gh = split(g)
-        dp = np.matmul(gh, vh.transpose(0, 2, 1))
+        dp = np.matmul(gh, np.ascontiguousarray(vh.transpose(0, 2, 1)))
         dv = np.matmul(p.transpose(0, 2, 1), gh)
         ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
         dq = np.matmul(ds, kh) * sc
@@ -411,17 +438,24 @@ def _causal_mask(T):
 
 
 @functools.cache
-def _rope_tables(T, hd, dtype):
+def _rope_tables(T, hd, n_heads, dtype):
+    """(T, n_heads*hd) tables c and s with rope(x) = x*c + swap_pairs(x)*s:
+    c holds each pair's cosine twice, s its sine with the first entry negated."""
     inv = 1.0 / (10000.0 ** (np.arange(hd // 2, dtype=np.float64) * 2.0 / hd))
     ang = np.outer(np.arange(T, dtype=np.float64), inv)
-    return np.cos(ang).astype(dtype), np.sin(ang).astype(dtype)
+    cos, sin = np.cos(ang).astype(dtype), np.sin(ang).astype(dtype)
+    c = np.tile(np.repeat(cos, 2, axis=1), n_heads)
+    s = np.tile(np.stack([-sin, sin], axis=-1).reshape(T, hd), n_heads)
+    c.flags.writeable = s.flags.writeable = False  # shared by every call
+    return c, s
 
 
 def rope(x, n_heads, seq_len=None):
     """Rotary position embedding over (B*T, n_heads*head_dim); adjacent pairs rotated.
 
     The rows stack B sequences of seq_len = T positions each (one sequence when
-    seq_len is None); positions restart at 0 in every sequence.
+    seq_len is None); positions restart at 0 in every sequence. A pair (a, b)
+    at angle θ becomes (a cos θ - b sin θ, b cos θ + a sin θ).
     """
     rows, width = x.data.shape
     if width % n_heads != 0:
@@ -430,24 +464,20 @@ def rope(x, n_heads, seq_len=None):
     if hd % 2 != 0:
         raise DimensionError(f"rope: head_dim {hd} must be even")
     B, T = _sequence_count(rows, seq_len, "rope")
-    cos, sin = _rope_tables(T, hd, x.data.dtype)
-    x4 = x.data.reshape(B, T, n_heads, hd // 2, 2)
-    a, b = x4[..., 0], x4[..., 1]
-    c = cos[:, None, :]
-    s = sin[:, None, :]
-    out = np.empty_like(x4)
-    out[..., 0] = a * c - b * s
-    out[..., 1] = a * s + b * c
+    c, s = _rope_tables(T, hd, n_heads, x.data.dtype)
+
+    def rotate(y, combine):  # combine(y*c, swap_pairs(y)*s), positions restarting per sequence
+        out = y.reshape(B, T, width) * c
+        # a new array: the pair-reversed view is never contiguous, so this copies
+        swapped = np.ascontiguousarray(y.reshape(rows, width // 2, 2)[:, :, ::-1])
+        swapped = swapped.reshape(B, T, width)
+        swapped *= s
+        return combine(out, swapped, out=out).reshape(rows, width)
 
     def bwd(g, push):
-        g4 = g.reshape(B, T, n_heads, hd // 2, 2)
-        ga, gb = g4[..., 0], g4[..., 1]
-        gx = np.empty_like(g4)
-        gx[..., 0] = ga * c + gb * s
-        gx[..., 1] = -ga * s + gb * c
-        push(x, gx.reshape(rows, width))
+        push(x, rotate(g, np.subtract))
 
-    return Tensor._from_op(out.reshape(rows, width), (x,), bwd, "rope")
+    return Tensor._from_op(rotate(x.data, np.add), (x,), bwd, "rope")
 
 
 def slice_rows(x, start, stop, axis=0):

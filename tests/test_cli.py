@@ -522,6 +522,28 @@ def test_eval_fraction_leaving_no_training_items_is_config_error(tmp_path, capsy
     assert not out.exists()
 
 
+def test_unknown_task_in_a_config_file_names_the_file(tmp_path, capsys):
+    cfg = tmp_path / "tasks.ini"
+    cfg.write_text("[data]\nn = 30\ntasks = visual-lookup, visual-colour\n")
+    out = tmp_path / "d.json"
+    assert run(["generate-data", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "unknown task 'visual-colour'" in err and str(cfg) in err
+    assert not out.exists()
+
+
+def test_item_past_max_seq_len_names_the_dataset_and_config(workspace, tmp_path, capsys):
+    """Checked before training: the error names both files the clash comes from."""
+    cfg, out = tmp_path / "short.ini", tmp_path / "t.ckpt"
+    cfg.write_text(workspace["cfg"].read_text().replace("max_seq_len = 16", "max_seq_len = 4"))
+    code = run(["train-teacher", "--config", str(cfg), "--data", str(workspace["data"]),
+                "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(workspace["data"]) in err and str(cfg) in err
+    assert not out.exists()
+
+
 def test_infeasible_plan_exit_code(workspace):
     code = run(["prune", "--ckpt", str(workspace["teacher"]),
                 "--data", str(workspace["data"]), "--mode", "layerwise",

@@ -399,3 +399,106 @@ def test_stacked_sequences_match_one_at_a_time(rng):
         np.testing.assert_allclose(stacked[rows], one, rtol=1e-12, atol=1e-12)
     with pytest.raises(DimensionError):
         T.rope(Tensor(q), heads, seq_len=4)
+
+
+# ------------------------------------------------- bitwise kernel oracles
+# The formulas these kernels had before they were rewritten for speed. The
+# rewrites do the same float operations on the same operands in the same
+# order, so values and gradients must agree bit for bit; a numpy or BLAS
+# build that breaks that fails here rather than shifting training silently.
+
+def oracle_rms_norm(x, gain, eps, g):
+    d = x.shape[1]
+    ms = (x * x).mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(ms + eps)
+    xhat = x * inv
+    gg = g * gain
+    dot = (gg * x).sum(axis=1, keepdims=True)
+    return xhat * gain, [inv * gg - (inv ** 3) * x * dot / d, (g * xhat).sum(axis=0)]
+
+
+def oracle_gelu(x, g):
+    c = math.sqrt(2.0 / math.pi)
+    x2 = x * x
+    t = np.tanh(c * (x + 0.044715 * (x2 * x)))
+    du = c * (1.0 + 0.134145 * x2)
+    return 0.5 * x * (1.0 + t), [g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)]
+
+
+def oracle_rope(x, n_heads, seq_len, g):
+    rows, width = x.shape
+    hd = width // n_heads
+    inv = 1.0 / (10000.0 ** (np.arange(hd // 2, dtype=np.float64) * 2.0 / hd))
+    ang = np.outer(np.arange(seq_len, dtype=np.float64), inv)
+    c = np.cos(ang).astype(x.dtype)[:, None, :]
+    s = np.sin(ang).astype(x.dtype)[:, None, :]
+    x4 = x.reshape(-1, seq_len, n_heads, hd // 2, 2)
+    g4 = g.reshape(x4.shape)
+    out, gx = np.empty_like(x4), np.empty_like(g4)
+    out[..., 0] = x4[..., 0] * c - x4[..., 1] * s
+    out[..., 1] = x4[..., 0] * s + x4[..., 1] * c
+    gx[..., 0] = g4[..., 0] * c + g4[..., 1] * s
+    gx[..., 1] = -g4[..., 0] * s + g4[..., 1] * c
+    return out.reshape(rows, width), [gx.reshape(rows, width)]
+
+
+def oracle_attention(q, k, v, n_heads, seq_len, g):
+    rows, width = q.shape
+    hd = width // n_heads
+    sc = 1.0 / math.sqrt(hd)
+
+    def split(x):
+        return np.ascontiguousarray(x.reshape(-1, seq_len, n_heads, hd).transpose(0, 2, 1, 3)
+                                    ).reshape(-1, seq_len, hd)
+
+    def merge(x):
+        return x.reshape(-1, n_heads, seq_len, hd).transpose(0, 2, 1, 3).reshape(rows, width)
+
+    qh, kh, vh, gh = split(q), split(k), split(v), split(g)
+    s = np.matmul(qh, kh.transpose(0, 2, 1)) * sc
+    s[:, np.triu(np.ones((seq_len, seq_len), dtype=bool), k=1)] = -np.inf
+    p = np.exp(s - s.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    dp = np.matmul(gh, vh.transpose(0, 2, 1))
+    dv = np.matmul(p.transpose(0, 2, 1), gh)
+    ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+    dq = np.matmul(ds, kh) * sc
+    dk = np.matmul(ds.transpose(0, 2, 1), qh) * sc
+    return merge(np.matmul(p, vh)), [merge(dq), merge(dk), merge(dv)]
+
+
+def kernel_cases(heads, seq_len):
+    """name: (engine op over Tensors, its oracle over the arrays and an
+    upstream gradient, operand count)."""
+    return {
+        "rms_norm": (lambda x, gain: T.rms_norm(x, gain, 1e-6),
+                     lambda x, gain, g: oracle_rms_norm(x, gain, 1e-6, g), 2),
+        "gelu": (T.gelu, oracle_gelu, 1),
+        "rope": (lambda x: T.rope(x, heads, seq_len),
+                 lambda x, g: oracle_rope(x, heads, seq_len, g), 1),
+        "causal_attention": (lambda q, k, v: T.causal_attention(q, k, v, heads, seq_len),
+                             lambda q, k, v, g: oracle_attention(q, k, v, heads, seq_len, g), 3),
+    }
+
+
+@pytest.mark.parametrize("heads", [8, 5])
+@pytest.mark.parametrize("B,seq_len", [(1, 1), (3, 6), (21, 7), (2, 17)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kernel", list(kernel_cases(1, 1)))
+def test_kernel_is_bitwise_equal_to_its_oracle(kernel, dtype, B, seq_len, heads):
+    """Output and T.backward gradients under a random upstream, bit for bit;
+    head_dim 8, and 5 heads stand for a widthwise-pruned block."""
+    rng = np.random.default_rng([B, seq_len, heads])
+    rows, width = B * seq_len, heads * 8
+    op, oracle, n_in = kernel_cases(heads, seq_len)[kernel]
+    arrays = [(rng.standard_normal((rows, width)) * 2).astype(dtype) for _ in range(n_in)]
+    if kernel == "rms_norm":
+        arrays[1] = (1.0 + 0.1 * rng.standard_normal(width)).astype(dtype)
+    upstream = rng.standard_normal((rows, width)).astype(dtype)
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    out = op(*leaves)
+    grads = T.backward(T.sum_all(T.mul(out, Tensor(upstream))), leaves)
+    want_out, want_grads = oracle(*arrays, upstream)
+    assert out.data.dtype == dtype and np.array_equal(out.data, want_out)
+    for got, want in zip(grads, want_grads):
+        assert got.dtype == dtype and np.array_equal(got, want)
