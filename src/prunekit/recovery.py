@@ -10,11 +10,12 @@ the frozen teacher's side as plain arrays of those rows: its logits and its
 matched block outputs, computed once per item before the first step.
 
 Both entry points run the same SGD loop (`_fit`): seeded shuffled batches,
-one bucketed forward and backward per step, a finite-loss check, optional
-momentum and an optional in-run eval. Recovery (`train`) updates only its
-scope's parameters at a fixed step size without clipping. Teacher
-pre-training (`train_teacher`) is the SFT-only objective over every
-non-frozen parameter, with warmup, cosine decay and grad-norm clipping.
+one bucketed forward and backward per step, a finite-loss check, an SGD
+step whose gradients are clipped to a global norm of at most CLIP_NORM,
+optional momentum and an optional in-run eval. Recovery (`train`) updates
+only its scope's parameters at a fixed step size. Teacher pre-training
+(`train_teacher`) is the SFT-only objective over every non-frozen parameter,
+with warmup and cosine decay.
 """
 
 from __future__ import annotations
@@ -194,8 +195,12 @@ def merge_lora(model):
 
 # ------------------------------------------------------------------ optimizer
 
+CLIP_NORM = 1.0  # every step's gradients together have an L2 norm of at most this
+
+
 class Sgd:
-    """Plain SGD with optional momentum (velocity is plain accumulation)."""
+    """SGD with optional momentum (velocity is plain accumulation) on
+    gradients clipped to a global norm of at most CLIP_NORM."""
 
     def __init__(self, named_params, lr, momentum=0.0):
         self.named_params = list(named_params)
@@ -203,14 +208,16 @@ class Sgd:
         self.momentum = momentum
         self.velocity = {n: np.zeros_like(p.data) for n, p in self.named_params}
 
-    def step(self, grads, grad_scale=1.0):
+    def step(self, grads):
         """grads[j] is the gradient of named_params[j], or None to leave it."""
+        gn = math.sqrt(sum(float((g ** 2).sum()) for g in grads if g is not None))
+        scale = min(1.0, CLIP_NORM / gn) if gn > 0 else 1.0
         for (n, p), g in zip(self.named_params, grads):
             if g is None:
                 continue
             v = self.velocity[n]
             v *= self.momentum
-            v += g if grad_scale == 1.0 else g * grad_scale  # g * 1.0 == g: skip the pass
+            v += g if scale == 1.0 else g * scale  # g * 1.0 == g: skip the pass
             p.data -= self.lr * v
 
 
@@ -281,15 +288,13 @@ def _backward_step(student, params, batch, targets, config, step, grads):
     return (*values, total_val)
 
 
-def _fit(model, params, data, run, lr_at, losses, cache=None, clip=None,
-         eval_fn=None, eval_every=0):
+def _fit(model, params, data, run, lr_at, losses, cache=None, eval_fn=None, eval_every=0):
     """The SGD loop of both entry points; updates `params`, returns a
     LossBreakdown. `run` gives steps, batch_size, momentum and seed; `losses`
     the loss weights; cache[i], if given, the teacher targets of data[i].
     Batches are drawn from a seeded permutation of `data`, redrawn when
     exhausted. Other parameters of `model` are frozen for the run, so no tape
-    is built for them. With `clip`, gradients are scaled to a global norm of
-    at most `clip`."""
+    is built for them."""
     opt = Sgd(params, lr=0.0, momentum=run.momentum)
     trainable_ids = {id(p) for _, p in params}
     frozen = [p for _, p in model.named_parameters()
@@ -313,11 +318,7 @@ def _fit(model, params, data, run, lr_at, losses, cache=None, clip=None,
             opt.lr = lr_at(step)
             terms = _backward_step(model, params, [data[i] for i in idx], targets, losses,
                                    step, grads)
-            grad_scale = 1.0
-            if clip is not None:
-                gn = math.sqrt(sum(float((g ** 2).sum()) for g in grads if g is not None))
-                grad_scale = min(1.0, clip / gn) if gn > 0 else 1.0
-            opt.step(grads, grad_scale)
+            opt.step(grads)
 
             metric = None
             if eval_fn is not None and eval_every and step % eval_every == 0:
@@ -345,6 +346,14 @@ def train(student, teacher, pool, config, eval_fn=None):
     needs_teacher = config.beta > 0 or config.gamma > 0
     if needs_teacher and teacher is None:
         raise ParameterError("beta/gamma > 0 requires a teacher")
+    # the logits loss compares vocab_size-wide rows, the match loss d_model-wide ones
+    for key, used in (("vocab_size", config.beta > 0), ("d_model", config.gamma > 0)):
+        if not used:
+            continue
+        s_width, t_width = getattr(student.config, key), getattr(teacher.config, key)
+        if s_width != t_width:
+            raise ParameterError(f"{key} differs: the student's is {s_width}, "
+                                 f"the teacher's {t_width}")
     if config.gamma > 0:
         for model, role in ((student, "student"), (teacher, "teacher")):
             n = model.n_layers
@@ -381,14 +390,12 @@ class TeacherConfig:
     warmup: int = 150
     floor_frac: float = 0.05
     momentum: float = 0.9
-    clip: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
         _check_ranges(self, {
             "peak_lr": (self.peak_lr > 0, "> 0"), "warmup": (self.warmup >= 0, ">= 0"),
-            "floor_frac": (0 <= self.floor_frac <= 1, "in [0, 1]"),
-            "clip": (self.clip > 0, "> 0")})
+            "floor_frac": (0 <= self.floor_frac <= 1, "in [0, 1]")})
 
 
 def _cosine_lr(step, cfg):
@@ -400,10 +407,9 @@ def _cosine_lr(step, cfg):
 
 def train_teacher(model, pool, config=TeacherConfig(), eval_fn=None, eval_every=0):
     """Supervised training of every non-frozen parameter (the vision stub
-    stays fixed). Warmup + cosine decay + grad-norm clipping for stability."""
+    stays fixed). Warmup + cosine decay for stability."""
     if not pool:
         raise ParameterError("train_teacher: empty data pool")
     params = [(n, p) for n, p in model.named_parameters() if p.requires_grad]
     return _fit(model, params, pool, config, lambda step: _cosine_lr(step, config),
-                losses=RecoveryConfig(), clip=config.clip, eval_fn=eval_fn,
-                eval_every=eval_every)
+                losses=RecoveryConfig(), eval_fn=eval_fn, eval_every=eval_every)

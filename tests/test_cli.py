@@ -13,6 +13,8 @@ from prunekit import checkpoint as C
 from prunekit import cli
 from prunekit import config as CFG
 from prunekit import evaluation as E
+from prunekit import model as M
+from prunekit.model import ModelConfig
 
 from conftest import edit_manifest
 
@@ -94,7 +96,8 @@ def test_lora_key_in_config_exits_2_before_training(workspace, tmp_path, monkeyp
                                   "recover-batch-0", "teacher-batch-0", "recover-match-9",
                                   "recover-match-past-pruned-student", "teacher-clip-negative",
                                   "teacher-peak-lr-negative", "recover-lr-negative",
-                                  "recover-momentum-1.5", "recover-scope-bogus"])
+                                  "recover-momentum-1.5", "recover-scope-bogus",
+                                  "recover-beta-teacher-vocab", "recover-gamma-teacher-width"])
 def test_bad_run_settings_are_config_errors(workspace, tmp_path, capsys, case):
     ws = {k: str(v) for k, v in workspace.items()}
     out = tmp_path / "out"
@@ -125,6 +128,14 @@ def test_bad_run_settings_are_config_errors(workspace, tmp_path, capsys, case):
                        else text + "momentum = 1.5\n")
         argv[case] = ["recover", "--student", ws["teacher"], "--teacher", ws["teacher"],
                       "--config", str(cfg)]
+    if case.endswith(("-teacher-vocab", "-teacher-width")):
+        # a teacher of the default ModelConfig: vocab_size 64 and d_model 64
+        # against the student's 40 and 32
+        teacher = tmp_path / "wide.ckpt"
+        C.save(M.init(ModelConfig(), seed=0), str(teacher))
+        loss = ["--beta", "1", "--kd-direction", "kl"] if "beta" in case else ["--gamma", "1"]
+        argv[case] = ["recover", "--student", ws["teacher"], "--teacher", str(teacher),
+                      "--config", ws["cfg"], *loss]
     if case.startswith("recover-match"):
         # the teacher has 2 blocks; layerwise 0.4 leaves the student 1
         student, layer = ws["teacher"], 9
@@ -139,13 +150,18 @@ def test_bad_run_settings_are_config_errors(workspace, tmp_path, capsys, case):
                       "--config", str(cfg)]
     assert run(argv[case] + common) == cli.EXIT_CONFIG
     assert not out.exists()
-    # the four settings that would make SGD climb, and a flag out of its
-    # range, are named in the error
-    assert {"teacher-clip-negative": "clip must be > 0, got -1.0",
+    # the three settings that would make SGD climb, a flag out of its range,
+    # the removed clip key and a teacher whose widths the losses cannot
+    # compare are named in the error
+    assert {"teacher-clip-negative": "unknown key 'clip' in [teacher]",
             "teacher-peak-lr-negative": "peak_lr must be > 0, got -0.15",
             "recover-lr-negative": "lr must be > 0, got -0.05",
             "recover-momentum-1.5": "momentum must be in [0, 1)",
-            "recover-scope-bogus": "scope must be projector or joint, got 'bogus'"}.get(case, "") \
+            "recover-scope-bogus": "scope must be projector or joint, got 'bogus'",
+            "recover-beta-teacher-vocab":
+                "vocab_size differs: the student's is 40, the teacher's 64",
+            "recover-gamma-teacher-width":
+                "d_model differs: the student's is 32, the teacher's 64"}.get(case, "") \
         in capsys.readouterr().err
 
 
@@ -583,6 +599,36 @@ def test_advise_json_mode(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["rule"] == "(iii)"
     assert payload["prune_mode"] == "widthwise"
+
+
+@pytest.mark.parametrize("ratio", ["0.3", "0.55"])
+def test_advised_recipe_recovers_through_the_cli(workspace, tmp_path, capsys, ratio):
+    """advise --recover, then prune, recover and evaluate as it says: joint
+    SFT + L2 distillation at the advised data fraction runs to the end and
+    recovers at least the pruned model's AVG-%."""
+    ws = {k: str(v) for k, v in workspace.items()}
+    capsys.readouterr()
+    assert run(["advise", "--ratio", ratio, "--recover", "--json", "--config", ws["cfg"]]) == 0
+    advice = json.loads(capsys.readouterr().out)
+    assert advice["recovery"] == "ft+l2-kd"
+    pruned, recovered = tmp_path / "pruned.ckpt", tmp_path / "recovered.ckpt"
+    assert run(["prune", "--ckpt", ws["teacher"], "--data", ws["data"], "--mode",
+                advice["prune_mode"], "--ratio", ratio, "--out", str(pruned),
+                "--seed", "1", "--calib-size", "4"]) == 0
+    assert run(["recover", "--student", str(pruned), "--teacher", ws["teacher"],
+                "--data", ws["data"], "--config", ws["cfg"], "--out", str(recovered),
+                "--scope", "joint", "--gamma", "1", "--data-fraction",
+                str(advice["data_fraction"]), "--steps", "100", "--seed", "1"]) == 0
+    reference = tmp_path / "teacher.eval.json"
+    assert run(["evaluate", "--ckpt", ws["teacher"], "--data", ws["data"],
+                "--out", str(reference)]) == 0
+    avg_pct = []
+    for ckpt in (pruned, recovered):
+        out = tmp_path / f"{ckpt.stem}.eval.json"
+        assert run(["evaluate", "--ckpt", str(ckpt), "--data", ws["data"],
+                    "--reference", str(reference), "--out", str(out)]) == 0
+        avg_pct.append(json.loads(out.read_text())["avg_pct"])
+    assert avg_pct[1] >= avg_pct[0], avg_pct
 
 
 def test_pipeline_composability_and_manifests(workspace, capsys):

@@ -15,8 +15,7 @@ KEYS = {
     "model": ["vocab_size", "d_model", "n_layers", "n_heads", "head_dim", "d_ffn",
               "n_visual_tokens", "d_vision", "d_descriptor", "max_seq_len", "rms_eps"],
     "data": ["tasks", "n", "eval_fraction"],
-    "teacher": ["steps", "batch_size", "peak_lr", "warmup", "floor_frac", "momentum",
-                "clip"],
+    "teacher": ["steps", "batch_size", "peak_lr", "warmup", "floor_frac", "momentum"],
     "recovery": ["alpha", "beta", "gamma", "tau", "kd_direction", "match_layers", "scope",
                  "data_fraction", "lr", "steps", "batch_size", "momentum", "eval_every"],
     "prune": ["calib_size", "min_heads", "min_channels"],
@@ -31,7 +30,7 @@ EVERY_KEY = {
                          max_seq_len=24, rms_eps=1e-5),
     "data": C.DataSettings(tasks=("visual-count", "prompt-echo"), n=480, eval_fraction=0.25),
     "teacher": TeacherConfig(steps=40, batch_size=4, peak_lr=0.1, warmup=5, floor_frac=0.1,
-                             momentum=0.8, clip=2.0),
+                             momentum=0.8),
     "recovery": RecoveryConfig(alpha=0.5, beta=0.25, gamma=2.0, tau=1.5, kd_direction="rkl",
                                match_layers=(-3, -1), scope="joint", data_fraction=0.05,
                                lr=0.02, steps=25, batch_size=4, momentum=0.5, eval_every=5),

@@ -469,18 +469,29 @@ def test_eval_metric_recorded_exactly_every_eval_every_steps(entry):
     assert [s["step"] for s in history.steps] == list(range(8))
 
 
-def test_teacher_clipped_step_moves_parameters_by_lr_times_clip():
+@pytest.mark.parametrize("entry", ["train", "train_teacher"])
+def test_teacher_clipped_step_moves_parameters_by_lr_times_clip(entry, monkeypatch):
+    """Both entry points clip: one step moves the trained parameters by
+    exactly lr * CLIP_NORM when the gradient norm exceeds CLIP_NORM."""
+    monkeypatch.setattr(R, "CLIP_NORM", 1e-3)
     model = float64_copy(M.init(ModelConfig(), seed=3))
     train, _ = D.generate_dataset(n=30, seed=6)
+    if entry == "train":  # the zero-initialized head passes no gradient to the projector
+        head = model.get_parameter("head.w")
+        head.data = np.random.default_rng(0).standard_normal(head.data.shape) * 0.02
     before = {n: p.data.copy() for n, p in model.named_parameters()}
-    # one step with warmup 0 runs at peak_lr; the first momentum step is
-    # the plain gradient step
-    cfg = R.TeacherConfig(steps=1, batch_size=8, peak_lr=0.1, warmup=0,
-                          clip=1e-3, seed=0)
-    R.train_teacher(model, train, cfg)
+    # one step; the first momentum step is the plain gradient step
+    if entry == "train":
+        lr = 0.05
+        R.train(model, None, train, RecoveryConfig(alpha=1.0, scope="projector", lr=lr,
+                                                   steps=1, batch_size=8, seed=0))
+    else:  # warmup 0 runs the first step at peak_lr
+        lr = 0.1
+        R.train_teacher(model, train, R.TeacherConfig(steps=1, batch_size=8, peak_lr=lr,
+                                                      warmup=0, seed=0))
     moved = math.sqrt(sum(float(((p.data - before[n]) ** 2).sum())
                           for n, p in model.named_parameters()))
-    assert abs(moved - cfg.peak_lr * cfg.clip) <= 1e-9 * cfg.peak_lr * cfg.clip
+    assert abs(moved - lr * R.CLIP_NORM) <= 1e-9 * lr * R.CLIP_NORM
 
 
 def test_config_validation():
@@ -500,8 +511,7 @@ def test_config_validation():
             (RecoveryConfig, dict(momentum=1.0)), (RecoveryConfig, dict(momentum=-0.1)),
             (RecoveryConfig, dict(eval_every=-1)), (R.TeacherConfig, dict(peak_lr=0.0)),
             (R.TeacherConfig, dict(warmup=-1)), (R.TeacherConfig, dict(floor_frac=-0.1)),
-            (R.TeacherConfig, dict(floor_frac=1.5)), (R.TeacherConfig, dict(momentum=1.0)),
-            (R.TeacherConfig, dict(clip=0.0))]:
+            (R.TeacherConfig, dict(floor_frac=1.5)), (R.TeacherConfig, dict(momentum=1.0))]:
         with pytest.raises(ParameterError):
             make(**fields)
     # the closed ends of those ranges stay valid
