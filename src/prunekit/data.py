@@ -13,15 +13,18 @@ Three single-answer tasks share one vocabulary:
   payload. Echo descriptors carry a random marker pattern with the same
   statistics as visual-count, so the visual stream is active but irrelevant.
 
-An item is implied by its task and meta (slot/markers/payload): `make_item`
-builds its descriptor, prompt and answer from them. Dataset files store
-only those two fields per record, which keeps them small, human-readable and
-byte-stable; a loaded item is rebuilt the same way as a sampled one.
+A task is one `_TASKS` entry; sampling, `make_item`, loading and
+`answer_support` read only that entry. An item is implied by its task and
+meta (slot/markers/payload): `make_item` builds its descriptor, prompt and
+answer from them. Dataset files store only those two fields per record, which
+keeps them small, human-readable and byte-stable; a loaded item is rebuilt
+the same way as a sampled one.
 """
 
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 
 import numpy as np
 
@@ -37,16 +40,28 @@ ECHO_MARKER = N_ANSWERS + 2
 
 DESCRIPTOR_DIM = N_ANSWERS + N_MARKERS
 
-TASKS = ("visual-lookup", "visual-count", "prompt-echo")
+# A task: its prompt marker; its meta fields -> id range, in sampling order (`markers`
+# lists distinct ids); its number of answer tokens; the meta field that is its answer
+# (for `markers`, their number).
+_Task = namedtuple("_Task", "marker fields n_answers answer")
+_TASKS = {
+    "visual-lookup": _Task(LOOKUP_MARKER, {"slot": N_ANSWERS}, N_ANSWERS, "slot"),
+    "visual-count": _Task(COUNT_MARKER, {"markers": N_MARKERS}, N_MARKERS + 1, "markers"),
+    "prompt-echo": _Task(ECHO_MARKER, {"payload": N_ANSWERS, "markers": N_MARKERS}, N_ANSWERS,
+                         "payload"),
+}
+TASKS = tuple(_TASKS)
+
+
+def _task(task):
+    if isinstance(task, str) and task in _TASKS:
+        return _TASKS[task]
+    raise ParameterError(f"unknown task {task!r}")
 
 
 def answer_support(task):
     """Token ids a correct answer can take, per task."""
-    if task in ("visual-lookup", "prompt-echo"):
-        return tuple(range(N_ANSWERS))
-    if task == "visual-count":
-        return tuple(range(N_MARKERS + 1))
-    raise ParameterError(f"unknown task {task!r}")
+    return tuple(range(_task(task).n_answers))
 
 
 def _marker_section(markers):
@@ -56,58 +71,30 @@ def _marker_section(markers):
     return x
 
 
-def encode_descriptor(task, meta):
-    """Rebuild the synthetic image descriptor from an item's semantic fields."""
-    x = np.zeros(DESCRIPTOR_DIM, dtype=np.float32)
-    if task == "visual-lookup":
-        x[int(meta["slot"])] = 1.0
-    elif task == "visual-count" or task == "prompt-echo":
-        x[N_ANSWERS:] = _marker_section(meta["markers"])
-    else:
-        raise ParameterError(f"unknown task {task!r}")
-    return x
-
-
-def expected_answer(task, meta):
-    """The unique correct answer token implied by (descriptor, prompt) semantics."""
-    if task == "visual-lookup":
-        return int(meta["slot"])
-    if task == "visual-count":
-        return len(meta["markers"])
-    if task == "prompt-echo":
-        return int(meta["payload"])
-    raise ParameterError(f"unknown task {task!r}")
-
-
-def _sample_markers(rng):
-    count = int(rng.integers(0, N_MARKERS + 1))
-    return sorted(int(m) for m in rng.choice(N_MARKERS, size=count, replace=False))
-
-
 def make_item(task, meta):
-    """The Triplet that `task` and `meta` imply: descriptor, prompt and answer."""
-    if task == "visual-lookup":
-        prompt = (LOOKUP_MARKER,)
-    elif task == "visual-count":
-        prompt = (COUNT_MARKER,)
-    elif task == "prompt-echo":
-        prompt = (ECHO_MARKER, int(meta["payload"]))
-    else:
-        raise ParameterError(f"unknown task {task!r}")
-    return Triplet(x_v=encode_descriptor(task, meta), x_p=prompt,
-                   x_r=(expected_answer(task, meta),), task=task, meta=meta)
+    """The Triplet that `task` and `meta` imply. A `slot` is the descriptor's
+    one-hot answer section and `markers` its bipolar marker section; a
+    `payload` follows the prompt marker."""
+    spec = _task(task)
+    x_v = np.zeros(DESCRIPTOR_DIM, dtype=np.float32)
+    if "slot" in spec.fields:
+        x_v[int(meta["slot"])] = 1.0
+    if "markers" in spec.fields:
+        x_v[N_ANSWERS:] = _marker_section(meta["markers"])
+    prompt = (spec.marker, int(meta["payload"])) if "payload" in spec.fields else (spec.marker,)
+    x_r = (len(meta["markers"]) if spec.answer == "markers" else int(meta[spec.answer]),)
+    return Triplet(x_v=x_v, x_p=prompt, x_r=x_r, task=task, meta=meta)
 
 
-def _sample_item(task, rng):
-    if task == "visual-lookup":
-        meta = {"slot": int(rng.integers(0, N_ANSWERS))}
-    elif task == "visual-count":
-        meta = {"markers": _sample_markers(rng)}
-    elif task == "prompt-echo":
-        meta = {"payload": int(rng.integers(0, N_ANSWERS)), "markers": _sample_markers(rng)}
-    else:
-        raise ParameterError(f"unknown task {task!r}")
-    return make_item(task, meta)
+def _sample_meta(fields, rng):
+    meta = {}
+    for key, n in fields.items():  # the table's order is the draw order
+        if key == "markers":
+            count = int(rng.integers(0, n + 1))
+            meta[key] = sorted(rng.choice(n, size=count, replace=False).tolist())
+        else:
+            meta[key] = int(rng.integers(0, n))
+    return meta
 
 
 def generate_dataset(task_mix=TASKS, n=1920, seed=0, eval_fraction=0.2):
@@ -120,9 +107,7 @@ def generate_dataset(task_mix=TASKS, n=1920, seed=0, eval_fraction=0.2):
         raise ParameterError(f"dataset size must be >= 10, got {n}")
     if not task_mix:
         raise ParameterError("task mix must be nonempty")
-    for task in task_mix:
-        if task not in TASKS:
-            raise ParameterError(f"unknown task {task!r}")
+    fields = {task: _task(task).fields for task in task_mix}
     rng = np.random.default_rng(seed)
     per_task = n // len(task_mix)
     n_eval = max(1, int(round(per_task * eval_fraction))) if 0 < eval_fraction < 1 else per_task
@@ -131,15 +116,10 @@ def generate_dataset(task_mix=TASKS, n=1920, seed=0, eval_fraction=0.2):
                              f"each task at least one of its {per_task} items for training")
     train, evals = [], []
     for task in task_mix:
-        items = [_sample_item(task, rng) for _ in range(per_task)]
+        items = [make_item(task, _sample_meta(fields[task], rng)) for _ in range(per_task)]
         evals.extend(items[:n_eval])
         train.extend(items[n_eval:])
     return train, evals
-
-
-# per task, the meta fields its descriptor and answer are rebuilt from, with their id range
-_META_FIELDS = {"visual-lookup": {"slot": N_ANSWERS}, "visual-count": {"markers": N_MARKERS},
-                "prompt-echo": {"payload": N_ANSWERS, "markers": N_MARKERS}}
 
 
 def _record_to_item(rec, where):
@@ -150,7 +130,7 @@ def _record_to_item(rec, where):
     if task not in TASKS:
         raise ParameterError(f"{where}: unknown task {task!r}")
     meta = rec["meta"] if isinstance(rec.get("meta"), dict) else {}
-    for key, n in _META_FIELDS[task].items():
+    for key, n in _TASKS[task].fields.items():
         ids = meta.get(key) if key == "markers" else [meta.get(key)]  # markers: distinct ids
         if not (isinstance(ids, list) and all(type(v) is int and 0 <= v < n for v in ids)
                 and len(set(ids)) == len(ids)):

@@ -1,10 +1,10 @@
 """Accuracy evaluation on the synthetic suite and report emission.
 
 Decoding is greedy and constrained to each task's answer-token support, so a
-model carrying no visual information scores chance level (1/32 on lookup,
-1/9 on count) rather than 1/vocab. AVG-% follows the relative-performance
-convention: 100 times the mean of per-task accuracy ratios against a named
-reference model, whose own AVG-% is therefore exactly 100.
+model carrying no visual information scores chance, `1/len(answer_support(task))`
+(1/32 on lookup, 1/9 on count), rather than 1/vocab. AVG-% follows the
+relative-performance convention: 100 times the mean of per-task accuracy
+ratios against a named reference model, whose own AVG-% is therefore exactly 100.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 """Dataset generation: determinism, answer audit, label balance, file round-trip."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -23,11 +25,33 @@ def test_different_seed_differs():
     assert any(x.x_r != y.x_r or not np.array_equal(x.x_v, y.x_v) for x, y in zip(a, b))
 
 
-def test_answer_determinism_audit():
+def _assert_item_means_its_task(item):
+    """Each task's meaning, read from the item alone: the answer section is
+    the descriptor's first N_ANSWERS entries, the marker section the rest."""
+    answer_section, marker_section = item.x_v[:D.N_ANSWERS], item.x_v[D.N_ANSWERS:]
+    assert item.x_v.shape == (D.DESCRIPTOR_DIM,) and len(item.x_r) == 1
+    if item.task == "visual-lookup":
+        assert item.x_p == (D.LOOKUP_MARKER,)
+        assert np.array_equal(answer_section, np.eye(D.N_ANSWERS)[item.x_r[0]])
+        assert not marker_section.any()
+        return
+    assert set(np.unique(marker_section)) <= {-1.0, 1.0} and not answer_section.any()
+    if item.task == "visual-count":
+        assert item.x_p == (D.COUNT_MARKER,)
+        assert item.x_r[0] == int((marker_section == 1.0).sum())
+    else:
+        assert item.task == "prompt-echo"
+        assert item.x_p == (D.ECHO_MARKER, item.x_r[0])
+
+
+def test_answer_determinism_audit(tmp_path):
     train, evals = D.generate_dataset(n=300, seed=3)
-    for item in train + evals:
-        assert D.expected_answer(item.task, item.meta) == item.x_r[0]
-        assert np.array_equal(D.encode_descriptor(item.task, item.meta), item.x_v)
+    path = tmp_path / "d.json"
+    D.save_dataset(path, train, evals, seed=3)
+    loaded_train, loaded_evals = D.load_dataset(path)
+    assert len(loaded_train + loaded_evals) == 300
+    for item in train + evals + loaded_train + loaded_evals:
+        _assert_item_means_its_task(item)
 
 
 def test_train_eval_split_disjoint_and_sized():
@@ -65,6 +89,10 @@ def test_size_validation():
         D.generate_dataset(n=9)
     with pytest.raises(ParameterError):
         D.generate_dataset(task_mix=("bogus",), n=100)
+    with pytest.raises(ParameterError, match="unknown task 'bogus'"):
+        D.make_item("bogus", {})
+    with pytest.raises(ParameterError, match="unknown task 'bogus'"):
+        D.answer_support("bogus")
 
 
 @pytest.mark.parametrize("fraction", [0.0, -0.2, 0.99, 1.0, 1.5])
@@ -81,6 +109,9 @@ def test_dataset_file_roundtrip_and_byte_stability(tmp_path):
     D.save_dataset(p1, train, evals, seed=4)
     D.save_dataset(p2, train, evals, seed=4)
     assert p1.read_bytes() == p2.read_bytes()
+    # the task table's field order is the RNG draw order; these bytes pin it
+    assert hashlib.sha256(p1.read_bytes()).hexdigest() == (
+        "3282e91a462359843f8124c8680e876ad714a5a67dafec9a02182cad6c60b273")
     t2, e2 = D.load_dataset(p1)
     assert len(t2) == len(train) and len(e2) == len(evals)
     for a, b in zip(train + evals, t2 + e2):
