@@ -10,7 +10,7 @@ reference shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .tensor import ParameterError
 
@@ -32,7 +32,6 @@ class ShapeRecord:
     d_vision: int
     d_descriptor: int
     ffn_matrices: int = 2
-    vision_flops_override: float | None = None
 
     @property
     def n_layers(self):
@@ -97,10 +96,7 @@ def estimate_flops(shape, seq_len):
     blocks = sum(layer_flops(shape, layer, seq_len) for layer in shape.layers)
     head = 2 * seq_len * d * shape.vocab_size
     projector = 2 * shape.n_visual_tokens * (shape.d_vision * d + d * d)
-    if shape.vision_flops_override is not None:
-        vision = shape.vision_flops_override
-    else:
-        vision = 2 * shape.d_descriptor * shape.n_visual_tokens * shape.d_vision
+    vision = 2 * shape.d_descriptor * shape.n_visual_tokens * shape.d_vision
     return blocks + head + projector + vision
 
 
@@ -143,18 +139,3 @@ def scale_shape_layerwise(shape, ratio):
         i += 1
     return replace(shape, layers=tuple(kept))
 
-
-def llava_7b_shape():
-    """Reference 7B-scale shape used by the FLOPs anchor checks.
-
-    The decoder mirrors a Vicuna-7B stack (gated 3-matrix MLP); the vision
-    term is a ViT-L/14-336-shaped tower (24 layers, d=1024, 16 heads,
-    ffn=4096, 577 tokens) costed with the same per-layer formula.
-    """
-    decoder = ShapeRecord(
-        d_model=4096, vocab_size=32000, head_dim=128,
-        layers=(LayerShape(32, 11008),) * 32,
-        n_visual_tokens=576, d_vision=1024, d_descriptor=1024, ffn_matrices=3)
-    tower = replace(decoder, d_model=1024, head_dim=64, ffn_matrices=2)
-    vision = 24 * layer_flops(tower, LayerShape(16, 4096), seq_len=577)
-    return replace(decoder, vision_flops_override=float(vision))

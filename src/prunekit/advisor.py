@@ -67,6 +67,7 @@ class Recommendation:
     rationale: list
     est_decoder_params: int
     est_flops: float
+    est_seq_len: int  # the sequence length est_flops is for
 
     def lines(self):
         out = [
@@ -74,7 +75,7 @@ class Recommendation:
             f"recovery:        {self.recovery}",
             f"data fraction:   {'-' if self.data_fraction is None else self.data_fraction}",
             f"decoder params:  {self.est_decoder_params}",
-            f"forward flops:   {self.est_flops:.3e}",
+            f"forward flops:   {self.est_flops:.3e} at {self.est_seq_len} tokens",
             "rationale:",
         ]
         out.extend(f"  - {r}" for r in self.rationale)
@@ -97,7 +98,8 @@ def _reference_note(mode, recovery, ratio):
 
 def recommend(scenario, shape):
     """Map a Scenario to exactly one Recommendation for the given shape record;
-    est_flops is for one sequence of the visual tokens plus 50 text tokens."""
+    est_flops is for one sequence of the visual tokens plus 50 text tokens,
+    est_seq_len long."""
     ratio = scenario.target_ratio
     rationale = []
     if not scenario.can_recover:
@@ -149,8 +151,9 @@ def recommend(scenario, shape):
         pruned = scale_shape_widthwise(shape, ratio)
     else:
         pruned = scale_shape_layerwise(shape, ratio)
+    seq_len = shape.n_visual_tokens + 50
     return Recommendation(
         prune_mode=mode, recovery=recovery, data_fraction=fraction, rule=rule,
         rationale=rationale,
         est_decoder_params=decoder_param_count(pruned),
-        est_flops=float(estimate_flops(pruned, shape.n_visual_tokens + 50)))
+        est_flops=float(estimate_flops(pruned, seq_len)), est_seq_len=seq_len)

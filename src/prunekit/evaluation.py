@@ -2,7 +2,10 @@
 
 Decoding is greedy and constrained to each task's answer-token support, so a
 model carrying no visual information scores chance, `1/len(answer_support(task))`
-(1/32 on lookup, 1/9 on count), rather than 1/vocab. AVG-% follows the
+(1/32 on lookup, 1/9 on count), rather than 1/vocab. Each distinct input of
+the pool (task, prompt, descriptor) runs once, over its visual and prompt
+rows only: the last prompt row predicts the answer, and causal attention
+keeps the response rows from changing it. AVG-% follows the
 relative-performance convention: 100 times the mean of per-task accuracy
 ratios against a named reference model, whose own AVG-% is therefore exactly 100.
 """
@@ -36,12 +39,13 @@ class EvalReport:
 
 def predict_answer(model, items):
     """Greedy answer tokens, one per item, each an argmax restricted to the
-    item's answer support. Items are one Triplet or a list sharing one token
-    layout; the result is a list either way."""
+    item's answer support. Items are one Triplet or a list sharing one prompt
+    length; the result is a list either way. Only the visual and prompt rows
+    run, and each item's last row predicts its answer."""
     with T.no_grad():
-        trace = M.forward(model, items, capture=None)
-        logits = M.response_rows(trace, trace.logits).data
-    rows = logits.reshape(trace.n_items, -1, logits.shape[1])[:, 0]
+        trace = M.forward(model, items, capture=None, response=False)
+    logits = trace.logits.data
+    rows = logits.reshape(trace.n_items, -1, logits.shape[1])[:, -1]
     tasks = [item.task for item in M.as_items(items)]
     answers = [None] * len(tasks)
     for task in dict.fromkeys(tasks):  # one argmax per task; ties go to the first index
@@ -53,17 +57,30 @@ def predict_answer(model, items):
 
 
 def evaluate(model, eval_pool, reference_report=None, label="model"):
-    """Exact-match accuracy per task; AVG-% against the reference when given."""
+    """Exact-match accuracy per task; AVG-% against the reference when given.
+
+    An answer depends only on the task, which fixes its support, the prompt
+    and the descriptor, so each distinct such input is predicted once and
+    every pool item is scored against its own response."""
     if not eval_pool:
         raise ParameterError("evaluate: empty eval pool")
+    slot, distinct, which = {}, [], []  # which[k]: the distinct input of pool item k
+    for item in eval_pool:
+        key = (item.task, tuple(item.x_p),
+               np.asarray(item.x_v, dtype=model.vision_w.data.dtype).tobytes())
+        if key not in slot:
+            slot[key] = len(distinct)
+            distinct.append(item)
+        which.append(slot[key])
+    answers = [None] * len(distinct)
+    for idx in M.layout_buckets(distinct):
+        for i, answer in zip(idx, predict_answer(model, [distinct[i] for i in idx])):
+            answers[i] = answer
     hits, totals = {}, {}
-    for idx in M.layout_buckets(eval_pool):
-        bucket = [eval_pool[i] for i in idx]
-        for item, answer in zip(bucket, predict_answer(model, bucket)):
-            task = item.task
-            totals[task] = totals.get(task, 0) + 1
-            if answer == item.x_r[0]:
-                hits[task] = hits.get(task, 0) + 1
+    for item, j in zip(eval_pool, which):
+        totals[item.task] = totals.get(item.task, 0) + 1
+        if answers[j] == item.x_r[0]:
+            hits[item.task] = hits.get(item.task, 0) + 1
     per_task = {task: hits.get(task, 0) / totals[task] for task in totals}
     avg = float(np.mean(list(per_task.values())))
     report = EvalReport(per_task=per_task, counts=totals, avg=avg, label=label)

@@ -121,9 +121,11 @@ def as_items(items):
     return [items] if isinstance(items, Triplet) else list(items)
 
 
-def layout_of(triplet, config):
-    """The token layout `forward` gives `triplet` under `config`."""
-    return TokenLayout(config.n_visual_tokens, len(triplet.x_p), len(triplet.x_r))
+def layout_of(triplet, config, response=True):
+    """The token layout `forward` gives `triplet` under `config`; without the
+    response when `response` is False."""
+    return TokenLayout(config.n_visual_tokens, len(triplet.x_p),
+                       len(triplet.x_r) if response else 0)
 
 
 def layout_buckets(items, size=BUCKET_SIZE):
@@ -300,22 +302,26 @@ def _block_forward(model, i, layer, h, seq_len):
     return T.add(h, m)
 
 
-def forward(model, items, capture="all"):
+def forward(model, items, capture="all", response=True):
     """Teacher-forced forward over [visual | prompt | response]; returns a ForwardTrace.
 
     items: one Triplet, or a list of triplets sharing one token layout, which
     run stacked as (B*T, width) rows. A single Triplet is B=1.
     capture: "all" keeps every per-block hidden state; None keeps none.
+    response: False runs [visual | prompt] only, under a layout with no
+    response rows. Attention is causal, so these are the full stream's first
+    rows; the last of them predicts the first response token.
     """
     cfg = model.config
     items = as_items(items)
     if not items:
         raise ParameterError("forward: no items")
-    layout = layout_of(items[0], cfg)
+    layout = layout_of(items[0], cfg, response)
     for item in items:
-        if layout_of(item, cfg) != layout:
+        if layout_of(item, cfg, response) != layout:
             raise ParameterError(
-                f"forward: items mix token layouts {layout} and {layout_of(item, cfg)}")
+                f"forward: items mix token layouts {layout} and "
+                f"{layout_of(item, cfg, response)}")
     if layout.total > cfg.max_seq_len:
         raise SequenceLengthError(
             f"sequence of {layout.total} tokens exceeds max_seq_len={cfg.max_seq_len}")
@@ -330,7 +336,7 @@ def forward(model, items, capture="all"):
         if x.size != cfg.d_descriptor:
             raise ParameterError(
                 f"descriptor width {x.size} does not match d_descriptor={cfg.d_descriptor}")
-    text_ids = [t for it in items for t in (*it.x_p, *it.x_r)]
+    text_ids = [t for it in items for t in (*it.x_p, *(it.x_r if response else ()))]
     if not all(0 <= t < cfg.vocab_size for t in text_ids):
         raise ParameterError(f"forward: a token id is outside [0, vocab_size={cfg.vocab_size})")
     B, n_text = len(items), layout.n_prompt + layout.n_response

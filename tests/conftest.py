@@ -1,10 +1,12 @@
 """Shared oracles and fixtures: finite differences, gradient checks, data helpers,
 the parameter partition and counts, the SFT loss, a checkpoint-manifest editor,
 the weight slices of a dependency group with their signed Taylor sensitivity,
-and the trained tiny model of the Taylor tests."""
+the trained tiny model of the Taylor tests, a briefly trained toy model with
+its pruned copies for the evaluation checks, and the 7B reference shape of
+the FLOPs anchors."""
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from prunekit import checkpoint as C
 from prunekit import data as D
 from prunekit import importance as I
 from prunekit import model as M
+from prunekit import pruning as P
 from prunekit import recovery as R
 from prunekit import tensor as T
 
@@ -102,6 +105,24 @@ def quick_sgd(model, items, steps, lr, batch=16, momentum=0.9, clip=1.0, seed=0)
     return model
 
 
+def llava_7b_shape():
+    """Reference 7B-scale shape used by the FLOPs anchor checks.
+
+    The decoder mirrors a Vicuna-7B stack (gated 3-matrix MLP). The vision
+    term is a ViT-L/14-336-shaped tower (24 layers, d=1024, 16 heads,
+    ffn=4096, 577 tokens) costed with the same per-layer formula, and carried
+    as the descriptor width at which the linear vision stub,
+    2 * d_descriptor * n_visual_tokens * d_vision FLOPs, costs as much.
+    """
+    decoder = A.ShapeRecord(
+        d_model=4096, vocab_size=32000, head_dim=128,
+        layers=(A.LayerShape(32, 11008),) * 32,
+        n_visual_tokens=576, d_vision=1024, d_descriptor=1024, ffn_matrices=3)
+    tower = replace(decoder, d_model=1024, head_dim=64, ffn_matrices=2)
+    vision = 24 * A.layer_flops(tower, A.LayerShape(16, 4096), seq_len=577)
+    return replace(decoder, d_descriptor=vision / (2 * 576 * 1024))
+
+
 def param_counts(shape):
     """Closed-form parameter counts per scope of a shape record."""
     d = shape.d_model
@@ -185,6 +206,38 @@ def lookup_trained_tiny_model():
     session; each caller gets its own copy of the model and lists."""
     model, pool, calib = _lookup_trained_tiny_model()
     return model.copy(), list(pool), list(calib)
+
+
+@functools.cache
+def _briefly_trained_toy_model():
+    train, evals = D.generate_dataset(n=600, seed=5)
+    model = M.init(M.ModelConfig(), seed=5)
+    R.train_teacher(model, train, R.TeacherConfig(steps=200, warmup=10, seed=5))
+    return model, train, evals
+
+
+def briefly_trained_toy_model():
+    """(model, train pool, eval pool): the default toy shape after 200
+    teacher steps on generate_dataset(n=600, seed=5), short of full accuracy
+    on every task, so some answers sit near ties. Its eval pool repeats
+    inputs (86 distinct among 120). Trained once per session; each caller
+    gets its own copy of the model and lists."""
+    model, train, evals = _briefly_trained_toy_model()
+    return model.copy(), list(train), list(evals)
+
+
+def pruned_copy(model, calib, mode, ratio):
+    """A copy of `model` pruned by `mode` to `ratio`, scored on `calib` the
+    way the CLI scores it: Block Influence for layerwise, Taylor for widthwise."""
+    pruned = model.copy()
+    if mode == "layerwise":
+        report = I.block_influence(pruned, calib)
+    else:
+        groups = I.build_dependency_groups(pruned)
+        I.taylor_group_importance(pruned, groups, calib)
+        report = I.group_report(pruned, groups)
+    P.execute(pruned, P.plan(mode, report, ratio))
+    return pruned
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,8 @@ from prunekit.recovery import RecoveryConfig, TeacherConfig
 from prunekit.tensor import Tensor
 
 from conftest import count_params, finite_diff_grads, float64_copy, group_scale_sensitivity, \
-    group_slices, lookup_trained_tiny_model, param_partition, quick_sgd, rel_err, zero_group
+    group_slices, llava_7b_shape, lookup_trained_tiny_model, param_partition, quick_sgd, \
+    rel_err, zero_group
 
 
 def report_pass(n, text):
@@ -352,7 +353,7 @@ def test_criterion_04_surgery_soundness(teacher, dataset):
 # ----------------------------------------------- criterion 5: flops anchors
 
 def test_criterion_05_flops_anchors():
-    shape = A.llava_7b_shape()
+    shape = llava_7b_shape()
     full = A.estimate_flops(shape, 576 + 50)
     assert abs(full - 9.57e12) / 9.57e12 <= 0.15
     pruned = A.scale_shape_widthwise(shape, 0.30)

@@ -9,17 +9,17 @@ from prunekit.accounting import LayerShape, ShapeRecord
 from prunekit.model import ModelConfig
 from prunekit.tensor import ParameterError
 
-from conftest import count_params, param_counts
+from conftest import count_params, llava_7b_shape, param_counts
 
 
 def test_flops_anchor_7b_shape():
-    shape = A.llava_7b_shape()
+    shape = llava_7b_shape()
     est = A.estimate_flops(shape, 576 + 50)
     assert abs(est - 9.57e12) / 9.57e12 <= 0.15
 
 
 def test_flops_anchor_7b_shape_at_30_percent_widthwise():
-    shape = A.llava_7b_shape()
+    shape = llava_7b_shape()
     pruned = A.scale_shape_widthwise(shape, 0.30)
     removed = 1 - A.decoder_param_count(pruned) / A.decoder_param_count(shape)
     assert abs(removed - 0.30) < 0.005

@@ -97,3 +97,5 @@ def test_recommendation_lines_render():
     rec = V.recommend(Scenario(can_recover=True, target_ratio=0.30), SHAPE)
     text = "\n".join(rec.lines())
     assert "layerwise" in text and "rationale" in text
+    # the toy shape's 4 visual tokens plus the 50 text tokens the estimate assumes
+    assert f"forward flops:   {rec.est_flops:.3e} at 54 tokens" in rec.lines()

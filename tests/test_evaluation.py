@@ -1,4 +1,5 @@
-"""Evaluation: chance-level bounds, AVG-% conventions, report emission."""
+"""Evaluation: chance-level bounds, AVG-% conventions, one forward per
+distinct input, report emission."""
 
 import csv
 import json
@@ -11,10 +12,11 @@ import pytest
 from prunekit import data as D
 from prunekit import evaluation as E
 from prunekit import model as M
-from prunekit.model import ModelConfig
+from prunekit import tensor as T
+from prunekit.model import ModelConfig, Triplet
 from prunekit.tensor import ParameterError
 
-from conftest import quick_sgd
+from conftest import briefly_trained_toy_model, pruned_copy, quick_sgd
 
 
 def binomial_3sigma(p, n):
@@ -43,6 +45,70 @@ def test_zeroed_projector_scores_chance_on_visual_tasks():
     n = len(evals) // 3
     for task, p in (("visual-lookup", 1 / 32), ("visual-count", 1 / 9)):
         assert abs(rep.per_task[task] - p) <= binomial_3sigma(p, n), task
+
+
+def full_pool_evaluate(model, eval_pool):
+    """(per_task, counts) the way evaluation scored before it deduplicated:
+    every item, the full teacher-forced stream, layout buckets of 32, the
+    first response-predicting row."""
+    hits, totals = {}, {}
+    for idx in M.layout_buckets(eval_pool, size=32):
+        bucket = [eval_pool[i] for i in idx]
+        with T.no_grad():
+            trace = M.forward(model, bucket, capture=None)
+        logits = M.response_rows(trace, trace.logits).data
+        rows = logits.reshape(len(bucket), -1, logits.shape[1])[:, 0]
+        for item, row in zip(bucket, rows):
+            support = list(D.answer_support(item.task))
+            answer = support[int(np.argmax(row[support]))]
+            totals[item.task] = totals.get(item.task, 0) + 1
+            hits[item.task] = hits.get(item.task, 0) + (answer == item.x_r[0])
+    return {t: hits[t] / totals[t] for t in totals}, totals
+
+
+@pytest.mark.parametrize("variant", ["trained", "widthwise-0.6", "layerwise-0.6"])
+def test_deduplicated_evaluation_scores_as_the_full_pool(variant):
+    model, train, evals = briefly_trained_toy_model()
+    if variant != "trained":
+        mode, ratio = variant.split("-")
+        model = pruned_copy(model, D.draw_calibration(train, n=10, seed=1), mode, float(ratio))
+    distinct = {(it.task, it.x_p, it.x_v.tobytes()) for it in evals}
+    assert len(distinct) < len(evals)  # the pool repeats inputs
+    per_task, counts = full_pool_evaluate(model, evals)
+    assert 0 < np.mean(list(per_task.values())) < 1  # answers are not all settled
+    rep = E.evaluate(model, evals)
+    assert rep.per_task == per_task and rep.counts == counts
+
+
+def test_items_sharing_an_input_are_each_scored_against_their_own_answer():
+    model, _, evals = briefly_trained_toy_model()
+    item = next(it for it in evals if it.task == "visual-count")
+    predicted = E.predict_answer(model, item)[0]
+    wrong = next(t for t in D.answer_support(item.task) if t != predicted)
+    pool = [Triplet(item.x_v, item.x_p, (predicted,), item.task),
+            Triplet(item.x_v.copy(), item.x_p, (wrong,), item.task)]
+    rep = E.evaluate(model, pool)
+    assert rep.counts == {"visual-count": 2}
+    assert rep.per_task == {"visual-count": 0.5}
+    rep = E.evaluate(model, pool[::-1])
+    assert rep.counts == {"visual-count": 2} and rep.per_task == {"visual-count": 0.5}
+
+
+def test_evaluation_forwards_each_distinct_input_once(monkeypatch):
+    model, _, evals = briefly_trained_toy_model()
+    forwarded = []
+    forward = M.forward
+
+    def counting_forward(model, items, *args, **kwargs):
+        forwarded.extend(M.as_items(items))
+        return forward(model, items, *args, **kwargs)
+
+    monkeypatch.setattr(M, "forward", counting_forward)
+    E.evaluate(model, evals)
+    keys = [(it.task, it.x_p, it.x_v.tobytes()) for it in forwarded]
+    assert len(keys) == len(set(keys))
+    assert set(keys) == {(it.task, it.x_p, it.x_v.tobytes()) for it in evals}
+    assert len(keys) < len(evals)
 
 
 def test_reference_against_itself_is_100():

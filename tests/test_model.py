@@ -10,7 +10,8 @@ from prunekit import tensor as T
 from prunekit.model import ModelConfig, SequenceLengthError, Triplet
 from prunekit.tensor import ParameterError
 
-from conftest import count_params, float64_copy, param_counts, param_partition
+from conftest import (briefly_trained_toy_model, count_params, float64_copy, param_counts,
+                      param_partition, pruned_copy)
 
 
 def make_triplet(cfg, rng, n_prompt=2, n_resp=1):
@@ -345,3 +346,32 @@ def test_batched_forward_keeps_per_item_checks(rng):
     narrow = Triplet(good.x_v[:-1], good.x_p, good.x_r)
     with pytest.raises(ParameterError, match="descriptor"):
         M.forward(model, [good, narrow])
+
+
+# ------------------------------------------------- prompt-only forward oracle
+# Evaluation reads only the row of each item's last prompt token. The forward
+# with response=False runs [visual | prompt] alone; causal attention leaves
+# that row's inputs unchanged, and every kernel computes a row from its own
+# sequence's earlier rows only, so the row must agree bit for bit with the
+# full teacher-forced stream's first response-predicting row.
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("variant", ["trained", "layerwise-0.5", "widthwise-0.6"])
+def test_prompt_only_answer_rows_are_bitwise_the_full_streams(variant, dtype):
+    model, train, evals = briefly_trained_toy_model()
+    if variant != "trained":
+        mode, ratio = variant.split("-")
+        model = pruned_copy(model, D.draw_calibration(train, n=10, seed=1), mode, float(ratio))
+    if dtype == np.float64:
+        model = float64_copy(model)
+    for idx in M.layout_buckets(evals):
+        items = [evals[i] for i in idx]
+        with T.no_grad():
+            full = M.forward(model, items, capture=None)
+            prompt = M.forward(model, items, capture=None, response=False)
+        vocab = model.config.vocab_size
+        want = M.response_rows(full, full.logits).data.reshape(len(items), -1, vocab)[:, 0]
+        assert prompt.layout == M.TokenLayout(model.config.n_visual_tokens,
+                                              len(items[0].x_p), 0)
+        got = prompt.logits.data.reshape(len(items), prompt.layout.total, vocab)[:, -1]
+        assert got.dtype == dtype and np.array_equal(got, want), idx
