@@ -5,7 +5,7 @@ First it prints what each INI section of configs/toy.ini and of
 tests/every_key.ini (every key set to a non-default value) resolves to: one
 line per section with the `repr` of its config. Then it runs a short teacher
 pre-training and four recovery runs that cover both scopes, both KD
-directions, hidden-state matching on two layers, a 5% data subsample, zero
+directions, final-block hidden-state matching, a 5% data subsample, zero
 momentum and in-run evaluation, and prints one JSON line per run with the
 final `Model.checksum()` and every `LossBreakdown` record (floats at full
 precision). Then it prunes the teacher layerwise at 0.3 and widthwise at
@@ -71,10 +71,10 @@ SECTIONS = {"model": CFG.model_config, "data": CFG.data_settings,
             "prune": CFG.prune_settings}
 
 RECOVERY_RUNS = {
-    "projector-kl-match2": dict(alpha=1.0, beta=1.0, gamma=1.0, kd_direction="kl",
-                                match_layers=(-2, -1), scope="projector"),
-    "joint-rkl-match2-eval": dict(alpha=1.0, beta=0.5, gamma=2.0, kd_direction="rkl",
-                                  match_layers=(-2, -1), scope="joint", eval_every=5),
+    "projector-kl-match": dict(alpha=1.0, beta=1.0, gamma=1.0, kd_direction="kl",
+                               scope="projector"),
+    "joint-rkl-match-eval": dict(alpha=1.0, beta=0.5, gamma=2.0, kd_direction="rkl",
+                                 scope="joint", eval_every=5),
     "projector-sft-momentum0": dict(alpha=1.0, scope="projector", momentum=0.0),
     "joint-kl-data5pct-eval": dict(alpha=1.0, beta=1.0, kd_direction="kl", scope="joint",
                                    data_fraction=0.05, eval_every=5),

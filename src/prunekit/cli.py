@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import os
+import platform
 import sys
 import time
 
@@ -70,13 +72,19 @@ INPUT_FLAGS = ("config", "ckpt", "student", "teacher", "data", "reference")
 
 def write_manifest(args, outputs):
     """`<out>.manifest.json`, <out> being --out or --out-prefix: the command,
-    its flags, input files and outputs."""
+    its flags, input files, --config's SHA-256, outputs and environment."""
     flags = vars(args)
+    config = flags.get("config")
     manifest = {
         "command": args.command,
         "args": {k: v for k, v in sorted(flags.items()) if v is not None and not callable(v)},
         "inputs": [flags[k] for k in INPUT_FLAGS if flags.get(k)] + flags.get("evals", []),
+        # decode reads every input file; its UTF-8 text encodes back to the file's bytes
+        "config_sha256": hashlib.sha256(D.decode(config, "config file", as_json=False)
+                                        .encode()).hexdigest() if config else None,
         "outputs": outputs,
+        "environment": {"python": platform.python_version(), "numpy": np.__version__,
+                        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")},
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
         "toolkit_version": __version__,
     }

@@ -2,11 +2,12 @@
 
 Sections: [model] ModelConfig, [data] DataSettings, [teacher] TeacherConfig,
 [recovery] RecoveryConfig, [prune] PruneSettings. Each field is one key, of
-the type of its default; a tuple field is a comma list. A `seed` field is
-not a key: the CLI derives every seed from its --seed. Every key is
-optional; CLI flags override file values. A setting flag is its key with
-dashes and parses its value as the file does (`flag_type`). Unknown
-sections (`[DEFAULT]` too) and keys fail loudly. A `%` in a value is literal.
+the type of its default; the one tuple field, `tasks`, is a comma list of
+strings. A `seed` field is not a key: the CLI derives every seed from its
+--seed. Every key is optional; CLI flags override file values. A setting
+flag is its key with dashes and parses its value as the file does
+(`flag_type`). Unknown sections (`[DEFAULT]` too) and keys fail loudly. A
+`%` in a value is literal.
 """
 
 from __future__ import annotations
@@ -43,11 +44,6 @@ _SECTIONS = {"model": ModelConfig, "data": DataSettings, "teacher": TeacherConfi
              "recovery": RecoveryConfig, "prune": PruneSettings}
 
 
-def comma_list(raw, item=str):
-    """A comma-separated string as a tuple of `item`s, blanks dropped."""
-    return tuple(item(tok.strip()) for tok in raw.split(",") if tok.strip())
-
-
 def _keys(cls):
     """{INI key: default} of one section's dataclass; `seed` is not a key."""
     return {f.name: f.default for f in dataclasses.fields(cls) if f.name != "seed"}
@@ -55,8 +51,8 @@ def _keys(cls):
 
 def _parse(default, raw):
     """An INI string as the type of `default`; a None default is an optional int."""
-    if isinstance(default, tuple):
-        return comma_list(raw, type(default[0]))
+    if isinstance(default, tuple):  # a comma list of strings, blanks dropped
+        return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
     return (int if default is None else type(default))(raw.strip())
 
 

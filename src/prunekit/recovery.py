@@ -3,11 +3,11 @@ supervised pre-training of that teacher.
 
 Losses: supervised cross-entropy on response tokens, temperature-softened
 logits distillation (forward or reverse KL, scaled by tau^2), and squared-L2
-matching of block outputs (the final block's by default). All three are
-averaged over the rows that predict response tokens. The combined objective
-is alpha*sft + beta*logits + gamma*match. The two distillation losses take
-the frozen teacher's side as plain arrays of those rows: its logits and its
-matched block outputs, computed once per item before the first step.
+matching of the final block's outputs. All three are averaged over the rows
+that predict response tokens. The combined objective is
+alpha*sft + beta*logits + gamma*match. The two distillation losses take the
+frozen teacher's side as plain arrays of those rows: its logits and its
+final block's outputs, computed once per item before the first step.
 
 Both entry points run the same SGD loop (`_fit`): seeded shuffled batches,
 one bucketed forward and backward per step, a finite-loss check, an SGD
@@ -43,7 +43,6 @@ class RecoveryConfig:
     gamma: float = 0.0
     tau: float = 2.0
     kd_direction: str = "none"  # "kl" | "rkl" | "none"
-    match_layers: tuple = (-1,)  # indices into block outputs, python-style
     scope: str = "projector"  # "projector" | "joint"
     data_fraction: float = 1.0
     lr: float = 0.05
@@ -122,45 +121,31 @@ def kd_logits_loss(student_trace, teacher_logits, tau, direction):
     return T.scale(T.sum_all(terms), tau * tau / rows_s.shape[0])
 
 
-def hidden_match_loss(student_trace, teacher_states, layers=(-1,)):
-    """Mean over response rows of squared L2 distance between block outputs,
-    averaged over the matched layers. layers[j] is a block index of the
-    student trace (0-based; negative ones count from the end), which must
-    have captured it; teacher_states[j] is the teacher's (rows, d_model)
-    array for that block's response rows."""
-    if not layers:
-        raise ParameterError("hidden_match_loss: no layers selected")
-    if len(teacher_states) != len(layers):
-        raise GraphError(f"hidden_match_loss: {len(teacher_states)} teacher arrays "
-                         f"for {len(layers)} layers")
-    blocks = student_trace.hidden_states[1:]
-    total = None
-    for k, ht in zip(layers, teacher_states):
-        if not -len(blocks) <= k < len(blocks):
-            raise ParameterError(f"hidden_match_loss: block {k} is out of range "
-                                 f"for {len(blocks)} blocks")
-        if blocks[k] is None:
-            raise GraphError(f"hidden_match_loss: block {k} was not captured")
-        rows_s = M.response_rows(student_trace, blocks[k])
-        if rows_s.shape != ht.shape:
-            raise GraphError(f"matched hidden states differ in shape: {rows_s.shape} vs {ht.shape}")
-        diff = T.sub(rows_s, Tensor(ht))
-        term = T.scale(T.sum_all(T.mul(diff, diff)), 1.0 / rows_s.shape[0])
-        total = term if total is None else T.add(total, term)
-    return T.scale(total, 1.0 / len(layers))
+def hidden_match_loss(student_trace, teacher_state):
+    """Mean over response rows of squared L2 distance between the final
+    block's outputs: the student trace's, which it must have captured, and
+    teacher_state, the teacher's (rows, d_model) array of the same rows."""
+    final = student_trace.hidden_states[-1]
+    if final is None:
+        raise GraphError("hidden_match_loss: the final block was not captured")
+    rows_s = M.response_rows(student_trace, final)
+    if rows_s.shape != teacher_state.shape:
+        raise GraphError(f"matched hidden states differ in shape: "
+                         f"{rows_s.shape} vs {teacher_state.shape}")
+    diff = T.sub(rows_s, Tensor(teacher_state))
+    return T.scale(T.sum_all(T.mul(diff, diff)), 1.0 / rows_s.shape[0])
 
 
-def _teacher_targets(teacher, items, layers):
-    """Per item, the teacher's [logits, *states] on its response rows:
-    states[j] is the output of block layers[j]. Each is an array of
-    n_response rows, from one no-grad forward per layout bucket."""
+def _teacher_targets(teacher, items):
+    """Per item, the teacher's [logits, final block's output] on its response
+    rows, as arrays of n_response rows, from one no-grad forward per layout
+    bucket."""
     out = [None] * len(items)
     with T.no_grad():
         for idx in M.layout_buckets(items):
-            trace = M.forward(teacher, [items[i] for i in idx], capture="all" if layers else None)
-            blocks = trace.hidden_states[1:]
+            trace = M.forward(teacher, [items[i] for i in idx], capture="all")
             arrays = [M.response_rows(trace, t).data.reshape(len(idx), -1, t.shape[1])
-                      for t in (trace.logits, *(blocks[k] for k in layers))]
+                      for t in (trace.logits, trace.hidden_states[-1])]
             for j, i in enumerate(idx):
                 out[i] = [a[j] for a in arrays]
     return out
@@ -240,18 +225,17 @@ def _batch_losses(student, batch, targets, config):
     the coefficient is zero): one student forward per layout bucket, each
     bucket weighted by its share of the batch. targets[j] holds the cached
     teacher targets of batch[j]."""
-    capture = "all" if config.gamma > 0 else None
     sums = [None, None, None]
     for sub in M.layout_buckets(batch):
         bucket = [batch[j] for j in sub]
-        trace_s = M.forward(student, bucket, capture=capture)
+        trace_s = M.forward(student, bucket, capture="all" if config.gamma > 0 else None)
         terms = [M.response_loss(trace_s, bucket) if config.alpha > 0 else None, None, None]
         if targets is not None:
-            logits_t, *states_t = [np.concatenate(rows) for rows in zip(*(targets[j] for j in sub))]
+            logits_t, state_t = [np.concatenate(rows) for rows in zip(*(targets[j] for j in sub))]
             if config.beta > 0:
                 terms[1] = kd_logits_loss(trace_s, logits_t, config.tau, config.kd_direction)
             if config.gamma > 0:
-                terms[2] = hidden_match_loss(trace_s, states_t, config.match_layers)
+                terms[2] = hidden_match_loss(trace_s, state_t)
         for k, term in enumerate(terms):
             if term is not None:
                 term = T.scale(term, len(sub) / len(batch))
@@ -335,7 +319,7 @@ def train(student, teacher, pool, config, eval_fn=None):
 
     The teacher is only consulted (read-only, no tape) when beta or gamma is
     positive, once per distinct item of the subsample before the first step;
-    only its response-row logits and matched block outputs are kept, and
+    only its response-row logits and final block outputs are kept, and
     every step that draws the item reuses them. Scope "projector"
     updates the projector alone; "joint" adds LoRA adapters on the attention
     q/v projections, merged into the base weights on completion and dropped
@@ -354,18 +338,10 @@ def train(student, teacher, pool, config, eval_fn=None):
         if s_width != t_width:
             raise ParameterError(f"{key} differs: the student's is {s_width}, "
                                  f"the teacher's {t_width}")
-    if config.gamma > 0:
-        for model, role in ((student, "student"), (teacher, "teacher")):
-            n = model.n_layers
-            if not all(-n <= k < n for k in config.match_layers):
-                raise ParameterError(f"match_layers {config.match_layers} out of range "
-                                     f"for the {role}'s {n} blocks")
 
     data = subsample(pool, config.data_fraction, config.seed)
-    cache = None
-    if needs_teacher:
-        # The teacher is frozen: one pass per distinct item serves every step.
-        cache = _teacher_targets(teacher, data, config.match_layers if config.gamma > 0 else ())
+    # The teacher is frozen: one pass per distinct item serves every step.
+    cache = _teacher_targets(teacher, data) if needs_teacher else None
     if config.scope == "joint":
         attach_lora(student, seed=config.seed)
     params = _trainable_params(student)

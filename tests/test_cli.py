@@ -1,10 +1,13 @@
 """CLI contracts: exit codes, composability, reproducibility of artifacts."""
 
 import configparser
+import hashlib
 import json
 import os
 import pathlib
+import platform
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -93,8 +96,8 @@ def test_lora_key_in_config_exits_2_before_training(workspace, tmp_path, monkeyp
 
 
 @pytest.mark.parametrize("case", ["inspect-calib-0", "prune-calib-0", "recover-steps-0",
-                                  "recover-batch-0", "teacher-batch-0", "recover-match-9",
-                                  "recover-match-past-pruned-student", "teacher-clip-negative",
+                                  "recover-batch-0", "teacher-batch-0", "recover-match-layers",
+                                  "teacher-clip-negative",
                                   "teacher-peak-lr-negative", "recover-lr-negative",
                                   "recover-momentum-1.5", "recover-scope-bogus",
                                   "recover-beta-teacher-vocab", "recover-gamma-teacher-width"])
@@ -136,28 +139,23 @@ def test_bad_run_settings_are_config_errors(workspace, tmp_path, capsys, case):
         loss = ["--beta", "1", "--kd-direction", "kl"] if "beta" in case else ["--gamma", "1"]
         argv[case] = ["recover", "--student", ws["teacher"], "--teacher", str(teacher),
                       "--config", ws["cfg"], *loss]
-    if case.startswith("recover-match"):
-        # the teacher has 2 blocks; layerwise 0.4 leaves the student 1
-        student, layer = ws["teacher"], 9
-        if case == "recover-match-past-pruned-student":
-            student, layer = str(tmp_path / "layerwise.ckpt"), 1
-            assert run(["prune", "--ckpt", ws["teacher"], "--data", ws["data"], "--mode",
-                        "layerwise", "--ratio", "0.4", "--calib-size", "2",
-                        "--out", student]) == 0
+    if case == "recover-match-layers":
+        # matching reads the final block only: the removed key is unknown
         cfg = tmp_path / "match.ini"
-        cfg.write_text(workspace["cfg"].read_text() + f"gamma = 1.0\nmatch_layers = {layer}\n")
-        argv[case] = ["recover", "--student", student, "--teacher", ws["teacher"],
+        cfg.write_text(workspace["cfg"].read_text() + "gamma = 1.0\nmatch_layers = -1\n")
+        argv[case] = ["recover", "--student", ws["teacher"], "--teacher", ws["teacher"],
                       "--config", str(cfg)]
     assert run(argv[case] + common) == cli.EXIT_CONFIG
     assert not out.exists()
     # the three settings that would make SGD climb, a flag out of its range,
-    # the removed clip key and a teacher whose widths the losses cannot
-    # compare are named in the error
+    # the removed clip and match_layers keys and a teacher whose widths the
+    # losses cannot compare are named in the error
     assert {"teacher-clip-negative": "unknown key 'clip' in [teacher]",
             "teacher-peak-lr-negative": "peak_lr must be > 0, got -0.15",
             "recover-lr-negative": "lr must be > 0, got -0.05",
             "recover-momentum-1.5": "momentum must be in [0, 1)",
             "recover-scope-bogus": "scope must be projector or joint, got 'bogus'",
+            "recover-match-layers": "unknown key 'match_layers' in [recovery]",
             "recover-beta-teacher-vocab":
                 "vocab_size differs: the student's is 40, the teacher's 64",
             "recover-gamma-teacher-width":
@@ -655,6 +653,7 @@ def test_pipeline_composability_and_manifests(workspace, capsys):
     with open(root / "summary.json") as f:
         assert len(json.load(f)["runs"]) == 2
     teacher, data, cfg = str(workspace["teacher"]), str(workspace["data"]), str(workspace["cfg"])
+    cfg_sha256 = hashlib.sha256(workspace["cfg"].read_bytes()).hexdigest()
     for out, inputs, outputs in (
             (pruned, [teacher, data], [pruned, f"{pruned}.surgery.jsonl"]),
             (recovered, [cfg, str(pruned), teacher, data],
@@ -669,6 +668,22 @@ def test_pipeline_composability_and_manifests(workspace, capsys):
         assert "timestamp" in manifest
         assert manifest["inputs"] == inputs
         assert manifest["outputs"] == [str(path) for path in outputs]
+        assert manifest["config_sha256"] == (cfg_sha256 if cfg in inputs else None)
+        assert manifest["environment"] == {
+            "python": platform.python_version(), "numpy": np.__version__,
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}
+    # Two runs of one command line whose INI contents differ: their manifests
+    # differ in the config's hash (and the timestamp) only.
+    ini, manifests = root / "data.ini", []
+    for n in (60, 90):
+        ini.write_text(f"[data]\nn = {n}\n")
+        assert run(["generate-data", "--config", str(ini), "--out", str(root / "d.json")]) == 0
+        with open(root / "d.json.manifest.json") as f:
+            manifests.append(json.load(f))
+        assert manifests[-1]["config_sha256"] == hashlib.sha256(ini.read_bytes()).hexdigest()
+    assert manifests[0]["config_sha256"] != manifests[1]["config_sha256"]
+    assert {k for k in manifests[0] if manifests[0][k] != manifests[1][k]} <= \
+        {"config_sha256", "timestamp"}
     assert (pruned.parent / (pruned.name + ".surgery.jsonl")).exists()
     with open(ev_r) as f:
         payload = json.load(f)

@@ -16,14 +16,14 @@ KEYS = {
               "n_visual_tokens", "d_vision", "d_descriptor", "max_seq_len", "rms_eps"],
     "data": ["tasks", "n", "eval_fraction"],
     "teacher": ["steps", "batch_size", "peak_lr", "warmup", "floor_frac", "momentum"],
-    "recovery": ["alpha", "beta", "gamma", "tau", "kd_direction", "match_layers", "scope",
-                 "data_fraction", "lr", "steps", "batch_size", "momentum", "eval_every"],
+    "recovery": ["alpha", "beta", "gamma", "tau", "kd_direction", "scope", "data_fraction",
+                 "lr", "steps", "batch_size", "momentum", "eval_every"],
     "prune": ["calib_size", "min_heads", "min_channels"],
 }
 
 # What tests/every_key.ini must resolve to, types included: repr tells 1 from
-# 1.0 and "1" from 1, so rms_eps must come back a float, warmup an int,
-# match_layers ints and tasks strings.
+# 1.0 and "1" from 1, so rms_eps must come back a float, warmup an int and
+# tasks strings.
 EVERY_KEY = {
     "model": ModelConfig(vocab_size=48, d_model=32, n_layers=3, n_heads=2, head_dim=16,
                          d_ffn=64, n_visual_tokens=3, d_vision=16, d_descriptor=24,
@@ -32,8 +32,8 @@ EVERY_KEY = {
     "teacher": TeacherConfig(steps=40, batch_size=4, peak_lr=0.1, warmup=5, floor_frac=0.1,
                              momentum=0.8),
     "recovery": RecoveryConfig(alpha=0.5, beta=0.25, gamma=2.0, tau=1.5, kd_direction="rkl",
-                               match_layers=(-3, -1), scope="joint", data_fraction=0.05,
-                               lr=0.02, steps=25, batch_size=4, momentum=0.5, eval_every=5),
+                               scope="joint", data_fraction=0.05, lr=0.02, steps=25,
+                               batch_size=4, momentum=0.5, eval_every=5),
     "prune": C.PruneSettings(calib_size=6, min_heads=2, min_channels=16),
 }
 
@@ -77,7 +77,7 @@ def test_every_key_resolves_to_its_field_type(section):
     ("[model]\nwidth = 4\n", "unknown key 'width'"),
     ("[optimizer]\nlr = 0.1\n", "unknown section [optimizer]"),
     ("[teacher]\nwarmup = 1.5\n", "bad value for [teacher] warmup"),
-    ("[recovery]\nmatch_layers = -1, last\n", "bad value for [recovery] match_layers"),
+    ("[recovery]\nmatch_layers = -1\n", "unknown key 'match_layers'"),
     ("[prune]\nmin_channels = none\n", "bad value for [prune] min_channels"),
     ("[teacher]\nseed = 3\n", "unknown key 'seed' in [teacher]; --seed sets every seed"),
     ("[DEFAULT]\nbogus = 1\n", "unknown section [DEFAULT]"),

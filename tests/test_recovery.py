@@ -33,12 +33,12 @@ def trace_from_logits(logits, n_prompt=1, n_resp=1):
     return ForwardTrace(hidden_states=[None], logits=T.concat_rows([t, unread]), layout=layout)
 
 
-def teacher_rows(trace, layers=()):
-    """A teacher trace's response-row logits and the response rows of its
-    blocks `layers`, as arrays: the targets the distillation losses take."""
+def teacher_rows(trace):
+    """A teacher trace's response rows of its logits and of its final block's
+    output, as arrays: the targets the distillation losses take."""
     def rows(x):
         return M.response_rows(trace, x).data
-    return rows(trace.logits), [rows(trace.hidden_states[1:][k]) for k in layers]
+    return rows(trace.logits), rows(trace.hidden_states[-1])
 
 
 def kd_pair(p_teacher, p_student):
@@ -135,47 +135,30 @@ def make_state_trace(states, n_prompt=1, n_resp=1):
 def test_hidden_match_identical_traces_zero(rng):
     h = rng.standard_normal((4, 8)).astype(np.float32)
     a = make_state_trace([h.copy()])
-    _, b = teacher_rows(make_state_trace([h.copy()]), (-1,))
-    assert R.hidden_match_loss(a, b, layers=(-1,)).item() == 0.0
+    _, b = teacher_rows(make_state_trace([h.copy()]))
+    assert R.hidden_match_loss(a, b).item() == 0.0
 
 
 def test_hidden_match_unit_rows_vs_zero_gives_width():
     d = 8
     student = make_state_trace([np.ones((3, d), dtype=np.float32)])
-    _, teacher = teacher_rows(make_state_trace([np.zeros((3, d), dtype=np.float32)]), (-1,))
-    assert abs(R.hidden_match_loss(student, teacher, layers=(-1,)).item() - d) < 1e-6
+    _, teacher = teacher_rows(make_state_trace([np.zeros((3, d), dtype=np.float32)]))
+    assert abs(R.hidden_match_loss(student, teacher).item() - d) < 1e-6
 
 
 def test_hidden_match_block_outside_the_trace_is_parameter_error():
+    """A trace run with capture=None holds no final-block output to match,
+    and teacher rows of another shape do not fit the student's: both raise
+    GraphError."""
     model = M.init(ModelConfig(n_layers=2), seed=0)
     item = D.generate_dataset(n=30, seed=0)[0][0]
     trace = M.forward(model, item, capture="all")
-    _, states = teacher_rows(trace, (-1,))
-    with pytest.raises(ParameterError, match="block 5 is out of range for 2 blocks"):
-        R.hidden_match_loss(trace, states, layers=(5,))
-    with pytest.raises(GraphError, match="1 teacher arrays for 2 layers"):
-        R.hidden_match_loss(trace, states, layers=(0, 1))
-
-
-def test_hidden_match_layer_choice_changes_loss(rng):
-    teacher = M.init(ModelConfig(), seed=0)
-    train, _ = D.generate_dataset(n=60, seed=0)
-    item = train[0]
-    teacher.head_w.data[...] = rng.standard_normal(teacher.head_w.data.shape) * 0.1
-
-    student = teacher.copy()
-    report = I.block_influence(student, [item])
-    plan = P.plan("layerwise", report, 0.2)
-    P.execute(student, plan)
-
-    with T.no_grad():
-        tr_t = M.forward(teacher, item, capture="all")
-        tr_s = M.forward(student, item, capture="all")
-    last = R.hidden_match_loss(tr_s, teacher_rows(tr_t, (-1,))[1], layers=(-1,)).item()
-    three = R.hidden_match_loss(tr_s, teacher_rows(tr_t, (-3, -2, -1))[1],
-                                layers=(-3, -2, -1)).item()
-    assert math.isfinite(last) and math.isfinite(three)
-    assert last != three
+    _, state = teacher_rows(trace)
+    with pytest.raises(GraphError, match="the final block was not captured"):
+        R.hidden_match_loss(M.forward(model, item, capture=None), state)
+    for other in (np.vstack([state, state]), state[:, :-1]):
+        with pytest.raises(GraphError, match="matched hidden states differ in shape"):
+            R.hidden_match_loss(trace, other)
 
 
 @functools.lru_cache(maxsize=None)
@@ -198,17 +181,16 @@ def remove_blocks(model, blocks):
                                  total, tuple(model.layer_shapes())))
 
 
-MATCH_RUN = RecoveryConfig(beta=1.0, gamma=1.0, kd_direction="kl",
-                           match_layers=(-3, -2, -1), steps=1, batch_size=8)
+MATCH_RUN = RecoveryConfig(beta=1.0, gamma=1.0, kd_direction="kl", steps=1, batch_size=8)
 
 
 @settings(max_examples=10, deadline=None)
-@given(blocks=st.sets(st.integers(0, 2), min_size=1))
+@given(blocks=st.sets(st.integers(0, 4), min_size=1))
 def test_hidden_match_is_zero_after_removing_identity_blocks(blocks):
     """A block whose wo and w_down are zero passes its input through exactly.
-    Removing such blocks, all outside the last three, keeps each matched block
-    the same block in teacher and student, so matching is exact as long as
-    negative indices resolve per model across the change of depth."""
+    Removing any set of such blocks that spares the final one, as layerwise
+    pruning always does, leaves the student's final block the teacher's, so
+    final-block matching is exact."""
     teacher = six_block_model().copy()
     for i in blocks:
         teacher.layers[i].wo.data[...] = 0.0
@@ -222,9 +204,7 @@ def test_hidden_match_is_zero_after_removing_identity_blocks(blocks):
             tr_t = M.forward(teacher, batch, capture="all")
             tr_s = M.forward(student, batch, capture="all")
             assert tr_s.logits.data.tobytes() == tr_t.logits.data.tobytes()
-            for layers in ((-1,), (-2, -1), (-3, -2, -1)):
-                assert R.hidden_match_loss(tr_s, teacher_rows(tr_t, layers)[1],
-                                           layers).item() == 0.0
+            assert R.hidden_match_loss(tr_s, teacher_rows(tr_t)[1]).item() == 0.0
     # Training reads the teacher cache, made on other buckets: rounding only.
     step = R.train(student, teacher, items, MATCH_RUN).steps[0]
     assert step["l_match"] <= 1e-9
@@ -584,10 +564,10 @@ def recompute_teacher_oracle(student, teacher, pool, config):
         for item in batch:
             trace_s = M.forward(student, item)
             with T.no_grad():
-                logits_t, states_t = teacher_rows(M.forward(teacher, item), config.match_layers)
+                logits_t, state_t = teacher_rows(M.forward(teacher, item))
             terms = (M.response_loss(trace_s, item),
                      R.kd_logits_loss(trace_s, logits_t, config.tau, config.kd_direction),
-                     R.hidden_match_loss(trace_s, states_t, config.match_layers))
+                     R.hidden_match_loss(trace_s, state_t))
             sums = [t if s is None else T.add(s, t) for s, t in zip(sums, terms)]
         sft, logits, match = (T.scale(s, 1.0 / len(batch)) for s in sums)
         match = T.scale(match, 1.0 / student.config.d_model)
@@ -601,8 +581,8 @@ def recompute_teacher_oracle(student, teacher, pool, config):
 def test_teacher_output_cache_matches_recomputing_the_teacher(monkeypatch):
     teacher, student, pool = small_recovery_setup()
     cfg = RecoveryConfig(alpha=1.0, beta=1.0, gamma=1.0, kd_direction="rkl",
-                         match_layers=(-2, -1), scope="projector", data_fraction=0.25,
-                         lr=0.02, steps=8, batch_size=5, seed=3)
+                         scope="projector", data_fraction=0.25, lr=0.02, steps=8,
+                         batch_size=5, seed=3)
     caches = []
     fit = R._fit
 
@@ -613,14 +593,14 @@ def test_teacher_output_cache_matches_recomputing_the_teacher(monkeypatch):
     monkeypatch.setattr(R, "_fit", spy)
     history = R.train(student.copy(), teacher, pool, cfg)
     # Per item, the cache holds its response rows only: the logits, then the
-    # output of each matched block.
+    # final block's output.
     data = R.subsample(pool, cfg.data_fraction, cfg.seed)
     (cache,) = caches
     assert len(cache) == len(data)
     for item, arrays in zip(data, cache):
         rows = len(item.x_r)
-        assert [a.shape for a in arrays] == [(rows, teacher.config.vocab_size)] + \
-            [(rows, teacher.config.d_model)] * len(cfg.match_layers)
+        assert [a.shape for a in arrays] == [(rows, teacher.config.vocab_size),
+                                             (rows, teacher.config.d_model)]
     oracle = recompute_teacher_oracle(student.copy(), teacher, pool, cfg)
     assert len(history.steps) == len(oracle)
     for step, want in zip(history.steps, oracle):
